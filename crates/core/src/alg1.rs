@@ -30,6 +30,11 @@ pub struct SpineView {
     pub neighbors: Vec<(i64, Interval)>,
 }
 
+/// Longest spine the verifiers accept. Positions and interval ends run
+/// to `N + 2` and Algorithm 1 works in `i64`; no network comes near this
+/// size, so a certificate claiming a longer spine is forged.
+pub(crate) const MAX_SPINE: u64 = 1 << 62;
+
 /// The virtual interval `[−∞, +∞]` of the two virtual end nodes,
 /// represented with sentinels that strictly contain every real interval.
 pub fn virtual_interval(n: i64) -> Interval {

@@ -436,7 +436,7 @@ fn verify_impl(ctx: &NodeCtx, own: &Payload, neighbors: &[Payload]) -> Option<()
                     next_id: nx2,
                     ..
                 } => {
-                    if *p2 != *path || *pos2 + 1 != *pos || *nx2 != ctx.id {
+                    if *p2 != *path || pos2.checked_add(1) != Some(*pos) || *nx2 != ctx.id {
                         return None;
                     }
                 }
@@ -459,7 +459,7 @@ fn verify_impl(ctx: &NodeCtx, own: &Payload, neighbors: &[Payload]) -> Option<()
                     prev_id: pv2,
                     ..
                 } => {
-                    if *p2 != *path || *pos2 != *pos + 1 || *pv2 != ctx.id {
+                    if *p2 != *path || pos.checked_add(1) != Some(*pos2) || *pv2 != ctx.id {
                         return None;
                     }
                 }
@@ -540,6 +540,33 @@ mod tests {
             }
         }
         panic!("no internal node found");
+    }
+
+    /// A forged path position at the top of `u64` is rejected, not
+    /// overflowed: the node and its next hop both add one to it.
+    #[test]
+    fn huge_position_rejected() {
+        let g = generators::k33_subdivision(2);
+        let honest = NonPlanarityScheme.prove(&g).unwrap();
+        let mut internal = 0;
+        for v in 0..g.node_count() {
+            let honest_cert = NpCert::decode(&honest.certs[v]).unwrap();
+            if !matches!(honest_cert.role, Role::Internal { .. }) {
+                continue;
+            }
+            internal += 1;
+            for x in [1 << 63, u64::MAX] {
+                let mut c = honest_cert.clone();
+                if let Role::Internal { pos, .. } = &mut c.role {
+                    *pos = x;
+                }
+                let mut forged = honest.clone();
+                forged.certs[v] = c.encode();
+                let out = run_with_assignment(&NonPlanarityScheme, &g, &forged);
+                assert!(!out.all_accept(), "position {x} at node {v}");
+            }
+        }
+        assert!(internal > 0, "no internal node found");
     }
 
     #[test]

@@ -146,7 +146,7 @@ impl ProofLabelingScheme for PathScheme {
                 return false;
             }
             if Some(nid) == own.pred_id && !seen_pred {
-                if nb.rank + 1 != own.rank || nb.succ_id != Some(ctx.id) {
+                if nb.rank.checked_add(1) != Some(own.rank) || nb.succ_id != Some(ctx.id) {
                     return false;
                 }
                 seen_pred = true;
@@ -208,6 +208,26 @@ mod tests {
         a.certs.swap(2, 6);
         let out = run_with_assignment(&PathScheme, &g, &a);
         assert!(!out.all_accept());
+    }
+
+    /// A forged rank at the top of `u64` is rejected, not overflowed: the
+    /// node's successor adds one to it.
+    #[test]
+    fn huge_rank_rejected() {
+        let g = generators::path(6);
+        let honest = PathScheme.prove(&g).unwrap();
+        for v in 0..g.node_count() {
+            for x in [1 << 63, u64::MAX] {
+                let mut pc = PathCert::decode(&mut honest.certs[v].reader()).unwrap();
+                pc.rank = x;
+                let mut w = BitWriter::new();
+                pc.encode(&mut w);
+                let mut forged = honest.clone();
+                forged.certs[v] = Payload::from_writer(w);
+                let out = run_with_assignment(&PathScheme, &g, &forged);
+                assert!(!out.all_accept(), "rank {x} at node {v}");
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! workloads from `dpc_graph::generators::random_path_outerplanar`), and
 //! [`PathOuterplanarScheme::with_witness`] accepts an explicit order.
 
-use crate::alg1::{verify_spine_node, virtual_interval, SpineView};
+use crate::alg1::{verify_spine_node, virtual_interval, SpineView, MAX_SPINE};
 use crate::scheme::{Assignment, ProofLabelingScheme, ProveError};
 use dpc_graph::{Graph, NodeId};
 use dpc_planar::tembed::{laminar_intervals, Chord};
@@ -174,10 +174,10 @@ impl ProofLabelingScheme for PathOuterplanarScheme {
         let Some(own) = parse(own) else { return false };
         let nbs: Option<Vec<PoCert>> = neighbors.iter().map(parse).collect();
         let Some(nbs) = nbs else { return false };
-        let n = own.n as i64;
-        if n < 1 || own.rank < 1 || own.rank > own.n {
+        if own.n > MAX_SPINE || own.rank < 1 || own.rank > own.n {
             return false;
         }
+        let n = own.n as i64;
         // agreement
         if nbs
             .iter()
@@ -202,7 +202,7 @@ impl ProofLabelingScheme for PathOuterplanarScheme {
             let Some(p) = ctx.neighbor_ids.iter().position(|&x| x == pid) else {
                 return false;
             };
-            if nbs[p].rank + 1 != own.rank || nbs[p].succ_id != Some(ctx.id) {
+            if nbs[p].rank.checked_add(1) != Some(own.rank) || nbs[p].succ_id != Some(ctx.id) {
                 return false;
             }
         }
@@ -321,6 +321,44 @@ mod tests {
         assert!(out.all_accept());
         // identity order is not a Hamiltonian path here
         assert!(PathOuterplanarScheme::new().prove(&g).is_err());
+    }
+
+    /// Integers near the top of `u64` must be rejected, not overflow the
+    /// verifier's arithmetic: `n` on every node (so the agreement check
+    /// passes), `rank` on one node (its successor adds to it), and both
+    /// at once with `rank = n`.
+    #[test]
+    fn huge_integers_rejected() {
+        let g = generators::random_path_outerplanar(12, 4, 5);
+        let honest = PathOuterplanarScheme::new().prove(&g).unwrap();
+        let n = g.node_count();
+        let forge = |x: u64, all_n: bool, rank_at: Option<usize>| {
+            let mut forged = honest.clone();
+            for (v, cert) in forged.certs.iter_mut().enumerate() {
+                let mut c = PoCert::decode(&mut cert.reader()).unwrap();
+                if all_n {
+                    c.n = x;
+                }
+                if rank_at == Some(v) {
+                    c.rank = x;
+                }
+                let mut w = BitWriter::new();
+                c.encode(&mut w);
+                *cert = Payload::from_writer(w);
+            }
+            forged
+        };
+        for x in [i64::MAX as u64, 1 << 63, u64::MAX] {
+            let mut cases = vec![forge(x, true, None)];
+            for v in 0..n {
+                cases.push(forge(x, false, Some(v)));
+                cases.push(forge(x, true, Some(v)));
+            }
+            for forged in cases {
+                let out = run_with_assignment(&PathOuterplanarScheme::new(), &g, &forged);
+                assert!(!out.all_accept(), "x = {x}");
+            }
+        }
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub fn check_tree(ctx: &NodeCtx, own: &TreeCert, neighbors: &[TreeCert]) -> Opti
             .neighbor_ids
             .iter()
             .position(|&nid| nid == own.parent_id)?;
-        if neighbors[p].dist + 1 != own.dist {
+        if neighbors[p].dist.checked_add(1) != Some(own.dist) {
             return None;
         }
         Some(p)
@@ -103,7 +103,7 @@ pub fn check_tree(ctx: &NodeCtx, own: &TreeCert, neighbors: &[TreeCert]) -> Opti
     let mut sum = 1u64;
     for (p, nb) in neighbors.iter().enumerate() {
         if nb.parent_id == ctx.id && Some(p) != parent_port {
-            if nb.dist != own.dist + 1 {
+            if own.dist.checked_add(1) != Some(nb.dist) {
                 return None;
             }
             sum = sum.checked_add(nb.subtree)?;

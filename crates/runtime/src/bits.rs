@@ -62,7 +62,8 @@ impl BitWriter {
         self.len_bits
     }
 
-    /// The backing bytes (last byte possibly partial).
+    /// The backing bytes (last byte possibly partial; its unused low
+    /// bits are zero, so equal streams have equal bytes).
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
     }
@@ -83,48 +84,50 @@ impl BitWriter {
             width == 64 || value < (1u64 << width),
             "value {value} does not fit in {width} bits"
         );
-        for i in (0..width).rev() {
-            let bit = (value >> i) & 1 == 1;
-            self.push_bit(bit);
+        let mut left = width as usize;
+        while left >= 8 {
+            left -= 8;
+            self.push_top((value >> left) as u8, 8);
+        }
+        if left > 0 {
+            self.push_top((value << (8 - left)) as u8, left);
         }
     }
 
     /// Writes a single bool as one bit.
     pub fn write_bool(&mut self, b: bool) {
-        self.push_bit(b);
+        self.push_top((b as u8) << 7, 1);
     }
 
     /// Writes an unsigned LEB128 varint (7 bits per group + continuation
     /// bit; small values cost 8 bits).
     pub fn write_varint(&mut self, mut value: u64) {
         loop {
-            let group = value & 0x7f;
+            let group = (value & 0x7f) as u8;
             value >>= 7;
-            self.write_bool(value != 0);
-            self.write_bits(group, 7);
-            if value == 0 {
-                break;
+            let more = value != 0;
+            self.push_top(((more as u8) << 7) | group, 8);
+            if !more {
+                return;
             }
         }
     }
 
-    /// Appends the whole content of another writer.
-    pub fn append(&mut self, other: &BitWriter) {
-        let mut r = BitReader::new(other.as_bytes(), other.bit_len());
-        for _ in 0..other.bit_len() {
-            self.push_bit(r.read_bool().unwrap());
+    /// Appends the `count` (1 to 8) most significant bits of `byte`,
+    /// whose other bits must be zero, so the unused tail of the last
+    /// byte stays zero.
+    fn push_top(&mut self, byte: u8, count: usize) {
+        let used = self.len_bits % 8;
+        if used == 0 {
+            self.buf.push(byte);
+        } else {
+            let last = self.buf.last_mut().expect("a partial last byte");
+            *last |= byte >> used;
+            if used + count > 8 {
+                self.buf.push(byte << (8 - used));
+            }
         }
-    }
-
-    fn push_bit(&mut self, bit: bool) {
-        let byte = self.len_bits / 8;
-        if byte == self.buf.len() {
-            self.buf.push(0);
-        }
-        if bit {
-            self.buf[byte] |= 1 << (7 - (self.len_bits % 8));
-        }
-        self.len_bits += 1;
+        self.len_bits += count;
     }
 }
 
@@ -157,13 +160,28 @@ impl<'a> BitReader<'a> {
             return Err(DecodeError::OutOfBits);
         }
         let mut v = 0u64;
-        for _ in 0..width {
-            let byte = self.pos / 8;
-            let bit = (self.buf[byte] >> (7 - (self.pos % 8))) & 1;
-            v = (v << 1) | bit as u64;
-            self.pos += 1;
+        let mut left = width as usize;
+        while left >= 8 {
+            left -= 8;
+            v = (v << 8) | self.take(8) as u64;
+        }
+        if left > 0 {
+            v = (v << left) | self.take(left) as u64;
         }
         Ok(v)
+    }
+
+    /// The next `count` (1 to 8) bits as the low bits of a byte, read
+    /// through a two-byte window; the caller has checked they exist.
+    fn take(&mut self, count: usize) -> u8 {
+        let at = self.pos / 8;
+        let shift = self.pos % 8;
+        let mut window = (self.buf[at] as u16) << 8;
+        if shift + count > 8 {
+            window |= self.buf[at + 1] as u16;
+        }
+        self.pos += count;
+        ((window << shift) >> (16 - count)) as u8
     }
 
     /// Reads one bit.
@@ -176,14 +194,14 @@ impl<'a> BitReader<'a> {
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
-            let more = self.read_bool()?;
-            let group = self.read_bits(7)?;
+            let byte = self.read_bits(8)?;
+            let group = byte & 0x7f;
             if shift >= 64 || (shift == 63 && group > 1) {
                 return Err(DecodeError::VarintOverflow);
             }
             v |= group << shift;
             shift += 7;
-            if !more {
+            if byte & 0x80 == 0 {
                 return Ok(v);
             }
         }
@@ -272,6 +290,8 @@ pub fn get_string(buf: &mut &[u8]) -> Result<String, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn roundtrip_fixed_width() {
@@ -336,18 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn append_concatenates() {
-        let mut a = BitWriter::new();
-        a.write_bits(0b101, 3);
-        let mut b = BitWriter::new();
-        b.write_bits(0b01, 2);
-        a.append(&b);
-        assert_eq!(a.bit_len(), 5);
-        let mut r = BitReader::new(a.as_bytes(), 5);
-        assert_eq!(r.read_bits(5).unwrap(), 0b10101);
-    }
-
-    #[test]
     fn byte_varint_roundtrip() {
         let values = [0u64, 1, 127, 128, 300, 16383, 16384, u64::MAX];
         let mut buf = Vec::new();
@@ -379,6 +387,207 @@ mod tests {
         assert_eq!(get_bytes(&mut cursor, 3).unwrap(), &[1, 2, 3]);
         assert_eq!(get_bytes(&mut cursor, 2), Err(DecodeError::OutOfBits));
         assert_eq!(get_bytes(&mut cursor, 1).unwrap(), &[4]);
+    }
+
+    /// The bit-at-a-time writer the byte-at-a-time one replaced, kept as
+    /// the reference of the differential tests below.
+    #[derive(Default)]
+    struct RefWriter {
+        buf: Vec<u8>,
+        len_bits: usize,
+    }
+
+    impl RefWriter {
+        fn write_bits(&mut self, value: u64, width: u32) {
+            for i in (0..width).rev() {
+                self.push_bit((value >> i) & 1 == 1);
+            }
+        }
+
+        fn write_bool(&mut self, b: bool) {
+            self.push_bit(b);
+        }
+
+        fn write_varint(&mut self, mut value: u64) {
+            loop {
+                let group = value & 0x7f;
+                value >>= 7;
+                self.write_bool(value != 0);
+                self.write_bits(group, 7);
+                if value == 0 {
+                    break;
+                }
+            }
+        }
+
+        fn push_bit(&mut self, bit: bool) {
+            let byte = self.len_bits / 8;
+            if byte == self.buf.len() {
+                self.buf.push(0);
+            }
+            if bit {
+                self.buf[byte] |= 1 << (7 - (self.len_bits % 8));
+            }
+            self.len_bits += 1;
+        }
+    }
+
+    /// The bit-at-a-time reader the byte-at-a-time one replaced.
+    struct RefReader<'a> {
+        buf: &'a [u8],
+        len_bits: usize,
+        pos: usize,
+    }
+
+    impl RefReader<'_> {
+        fn new(buf: &[u8], len_bits: usize) -> RefReader<'_> {
+            RefReader {
+                buf,
+                len_bits,
+                pos: 0,
+            }
+        }
+
+        fn read_bits(&mut self, width: u32) -> Result<u64, DecodeError> {
+            if self.len_bits - self.pos < width as usize {
+                return Err(DecodeError::OutOfBits);
+            }
+            let mut v = 0u64;
+            for _ in 0..width {
+                let bit = (self.buf[self.pos / 8] >> (7 - (self.pos % 8))) & 1;
+                v = (v << 1) | bit as u64;
+                self.pos += 1;
+            }
+            Ok(v)
+        }
+
+        fn read_bool(&mut self) -> Result<bool, DecodeError> {
+            Ok(self.read_bits(1)? == 1)
+        }
+
+        fn read_varint(&mut self) -> Result<u64, DecodeError> {
+            let mut v = 0u64;
+            let mut shift = 0u32;
+            loop {
+                let more = self.read_bool()?;
+                let group = self.read_bits(7)?;
+                if shift >= 64 || (shift == 63 && group > 1) {
+                    return Err(DecodeError::VarintOverflow);
+                }
+                v |= group << shift;
+                shift += 7;
+                if !more {
+                    return Ok(v);
+                }
+            }
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Bits(u64, u32),
+        Bool(bool),
+        Varint(u64),
+    }
+
+    fn random_bits(rng: &mut StdRng, width: u32) -> Op {
+        let v: u64 = rng.gen();
+        Op::Bits(
+            if width == 64 {
+                v
+            } else {
+                v & ((1 << width) - 1)
+            },
+            width,
+        )
+    }
+
+    /// A seeded op sequence; `width` appears at least once, at a random
+    /// bit offset.
+    fn random_ops(seed: u64, width: u32) -> Vec<Op> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ops: Vec<Op> = (0..rng.gen_range(0..24))
+            .map(|_| match rng.gen_range(0..3) {
+                0 => {
+                    let w = rng.gen_range(0..=64u32);
+                    random_bits(&mut rng, w)
+                }
+                1 => Op::Bool(rng.gen()),
+                _ => Op::Varint([0, 127, 128, 1 << 63, u64::MAX][rng.gen_range(0..5)]),
+            })
+            .collect();
+        let at = rng.gen_range(0..=ops.len());
+        let op = random_bits(&mut rng, width);
+        ops.insert(at, op);
+        ops
+    }
+
+    #[test]
+    fn byte_codec_matches_the_bit_at_a_time_reference() {
+        for seed in 0..4 * 65u64 {
+            let ops = random_ops(seed, (seed % 65) as u32);
+            let mut w = BitWriter::new();
+            let mut reference = RefWriter::default();
+            for &op in &ops {
+                match op {
+                    Op::Bits(v, width) => {
+                        w.write_bits(v, width);
+                        reference.write_bits(v, width);
+                    }
+                    Op::Bool(b) => {
+                        w.write_bool(b);
+                        reference.write_bool(b);
+                    }
+                    Op::Varint(v) => {
+                        w.write_varint(v);
+                        reference.write_varint(v);
+                    }
+                }
+            }
+            assert_eq!(w.as_bytes(), &reference.buf[..], "seed {seed}: {ops:?}");
+            assert_eq!(w.bit_len(), reference.len_bits, "seed {seed}");
+            // every truncation point: same values, then the same error
+            for cut in 0..=w.bit_len() {
+                let mut r = BitReader::new(w.as_bytes(), cut);
+                let mut rr = RefReader::new(&reference.buf, cut);
+                for &op in &ops {
+                    let (got, want, written) = match op {
+                        Op::Bits(v, width) => (r.read_bits(width), rr.read_bits(width), v),
+                        Op::Bool(b) => (
+                            r.read_bool().map(u64::from),
+                            rr.read_bool().map(u64::from),
+                            b as u64,
+                        ),
+                        Op::Varint(v) => (r.read_varint(), rr.read_varint(), v),
+                    };
+                    assert_eq!(got, want, "seed {seed}, cut {cut}, {op:?}");
+                    match got {
+                        Ok(v) => assert_eq!(v, written, "seed {seed}, cut {cut}"),
+                        Err(e) => {
+                            assert_eq!(e, DecodeError::OutOfBits);
+                            assert!(cut < w.bit_len());
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ten_ff_groups_overflow_in_both_codecs() {
+        for offset in 0..8u32 {
+            let mut w = BitWriter::new();
+            w.write_bits(0, offset);
+            for _ in 0..10 {
+                w.write_bits(0xff, 8);
+            }
+            let mut r = BitReader::new(w.as_bytes(), w.bit_len());
+            let mut rr = RefReader::new(w.as_bytes(), w.bit_len());
+            assert_eq!(r.read_bits(offset), rr.read_bits(offset));
+            assert_eq!(r.read_varint(), Err(DecodeError::VarintOverflow));
+            assert_eq!(rr.read_varint(), Err(DecodeError::VarintOverflow));
+        }
     }
 
     #[test]
