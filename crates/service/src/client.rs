@@ -25,10 +25,6 @@
 //! )?;
 //! # Ok::<(), dpc_service::WireError>(())
 //! ```
-//!
-//! The pre-redesign `certify_scheme` / `certify_summary` /
-//! `*_scheme` methods survive as deprecated forwarders onto the
-//! options surface.
 
 use crate::metrics::{SlowLogEntry, StatsSnapshot};
 use crate::registry::SchemeId;
@@ -396,45 +392,6 @@ impl Client {
         ))
     }
 
-    /// Certifies a graph under any registered scheme.
-    #[deprecated(note = "use certify(graph, CertifyOptions::new().scheme(..))")]
-    pub fn certify_scheme(
-        &mut self,
-        graph: &Graph,
-        bypass_cache: bool,
-        scheme: SchemeId,
-    ) -> Result<Response, WireError> {
-        let opts = CertifyOptions::from(bypass_cache).scheme(scheme);
-        self.certify(graph, opts)
-    }
-
-    /// Certifies a graph but asks for only the measured outcome.
-    #[deprecated(note = "use certify(graph, CertifyOptions::new().summary())")]
-    pub fn certify_summary(
-        &mut self,
-        graph: &Graph,
-        bypass_cache: bool,
-        scheme: SchemeId,
-    ) -> Result<Response, WireError> {
-        let opts = CertifyOptions::from(bypass_cache).scheme(scheme).summary();
-        self.certify(graph, opts)
-    }
-
-    /// Streams a graph to the server in CRC-checked chunks.
-    #[deprecated(note = "use certify(graph, CertifyOptions::new().chunked(..))")]
-    pub fn certify_chunked(
-        &mut self,
-        graph: &Graph,
-        bypass_cache: bool,
-        scheme: SchemeId,
-        chunk_bytes: usize,
-    ) -> Result<Response, WireError> {
-        let opts = CertifyOptions::from(bypass_cache)
-            .scheme(scheme)
-            .chunked(chunk_bytes);
-        self.certify(graph, opts)
-    }
-
     /// The chunked certify transport (`CertifyOptions::chunked`):
     /// streams the one-pass encoding in CRC-checked chunks and
     /// returns the final summary-certify response. What the chunking
@@ -504,12 +461,6 @@ impl Client {
         self.call_body(&wire::encode_check_request(graph, opts.scheme))
     }
 
-    /// Centralized membership check under any registered scheme.
-    #[deprecated(note = "use check(graph, CheckOptions::new().scheme(..))")]
-    pub fn check_scheme(&mut self, graph: &Graph, scheme: SchemeId) -> Result<Response, WireError> {
-        self.check(graph, scheme)
-    }
-
     /// Server-side graph generation.
     pub fn gen(
         &mut self,
@@ -528,18 +479,6 @@ impl Client {
         }
     }
 
-    /// Server-side graph generation with a scheme id.
-    #[deprecated(note = "use gen(family, n, seed, GenOptions::new().scheme(..))")]
-    pub fn gen_scheme(
-        &mut self,
-        family: &str,
-        n: u32,
-        seed: u64,
-        scheme: SchemeId,
-    ) -> Result<Graph, WireError> {
-        self.gen(family, n, seed, scheme)
-    }
-
     /// Adversarial soundness probe (`SoundnessOptions` carries the
     /// replay seed and scheme; a plain `u64` still reads as the old
     /// seed argument).
@@ -554,17 +493,6 @@ impl Client {
             opts.seed,
             opts.scheme,
         ))
-    }
-
-    /// Adversarial soundness probe against any registered scheme.
-    #[deprecated(note = "use soundness(graph, SoundnessOptions::new().seed(..).scheme(..))")]
-    pub fn soundness_scheme(
-        &mut self,
-        graph: &Graph,
-        seed: u64,
-        scheme: SchemeId,
-    ) -> Result<Response, WireError> {
-        self.soundness(graph, SoundnessOptions::new().seed(seed).scheme(scheme))
     }
 
     /// Runs one full interactive-certification session (wire v8) and

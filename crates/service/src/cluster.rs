@@ -494,18 +494,6 @@ impl ClusterClient {
         )
     }
 
-    /// Certifies a graph under a scheme on the owning node.
-    #[deprecated(note = "use certify(graph, CertifyOptions::new().scheme(..))")]
-    pub fn certify_scheme(
-        &mut self,
-        graph: &Graph,
-        bypass_cache: bool,
-        scheme: SchemeId,
-    ) -> Result<Response, WireError> {
-        let opts = CertifyOptions::from(bypass_cache).scheme(scheme);
-        self.certify(graph, opts)
-    }
-
     /// The k>1 certify path: walk the top-k replicas with cached-only
     /// probes; a hit anywhere answers immediately (read-repairing the
     /// higher-ranked replicas that missed); an all-miss falls back to
@@ -730,12 +718,6 @@ impl ClusterClient {
         self.route(&key, &wire::encode_check_request(graph, opts.scheme))
     }
 
-    /// Membership check under a scheme on the owning node.
-    #[deprecated(note = "use check(graph, CheckOptions::new().scheme(..))")]
-    pub fn check_scheme(&mut self, graph: &Graph, scheme: SchemeId) -> Result<Response, WireError> {
-        self.check(graph, scheme)
-    }
-
     /// Server-side generation, routed by the generation parameters.
     pub fn gen(
         &mut self,
@@ -758,18 +740,6 @@ impl ClusterClient {
         }
     }
 
-    /// Server-side generation with a scheme id.
-    #[deprecated(note = "use gen(family, n, seed, GenOptions::new().scheme(..))")]
-    pub fn gen_scheme(
-        &mut self,
-        family: &str,
-        n: u32,
-        seed: u64,
-        scheme: SchemeId,
-    ) -> Result<Graph, WireError> {
-        self.gen(family, n, seed, scheme)
-    }
-
     /// Soundness probe on the owning node.
     pub fn soundness(
         &mut self,
@@ -782,17 +752,6 @@ impl ClusterClient {
             &key,
             &wire::encode_soundness_request(graph, opts.seed, opts.scheme),
         )
-    }
-
-    /// Soundness probe under a scheme on the owning node.
-    #[deprecated(note = "use soundness(graph, SoundnessOptions::new().seed(..).scheme(..))")]
-    pub fn soundness_scheme(
-        &mut self,
-        graph: &Graph,
-        seed: u64,
-        scheme: SchemeId,
-    ) -> Result<Response, WireError> {
-        self.soundness(graph, SoundnessOptions::new().seed(seed).scheme(scheme))
     }
 
     /// Runs one interactive-certification session against the graph's

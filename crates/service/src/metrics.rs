@@ -79,9 +79,10 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Total number of observations.
+    /// Total number of observations, saturating at `u64::MAX` (a
+    /// decoded histogram holds whatever a peer sent).
     pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
+        self.buckets.iter().fold(0, |sum, &b| sum.saturating_add(b))
     }
 
     /// The `q`-quantile (0 < q <= 1) in microseconds: the lower bound
@@ -95,7 +96,7 @@ impl HistogramSnapshot {
         let target = ((q * total as f64).ceil() as u64).clamp(1, total);
         let mut seen = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
+            seen = seen.saturating_add(c);
             if seen >= target {
                 return if i == 0 { 0 } else { 1u64 << i.min(63) };
             }
@@ -113,8 +114,8 @@ impl HistogramSnapshot {
         self.quantile_us(0.99)
     }
 
-    /// Adds another histogram bucket-wise (the shorter side is
-    /// zero-padded). Power-of-two buckets make fleet aggregation
+    /// Adds another histogram bucket-wise, saturating (the shorter
+    /// side is zero-padded). Power-of-two buckets make fleet aggregation
     /// exact: the merged quantiles are the quantiles of the pooled
     /// observations, bucket-resolution included.
     pub fn absorb(&mut self, other: &HistogramSnapshot) {
@@ -122,7 +123,7 @@ impl HistogramSnapshot {
             self.buckets.resize(other.buckets.len(), 0);
         }
         for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
+            *mine = mine.saturating_add(*theirs);
         }
     }
 
@@ -440,113 +441,271 @@ pub struct SchemeMetrics {
     pub latency: LatencyHistogram,
 }
 
-/// Live server counters.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    /// Certify requests received.
-    pub certify: AtomicU64,
-    /// Check requests received.
-    pub check: AtomicU64,
-    /// Gen requests received.
-    pub gen: AtomicU64,
-    /// Soundness probes received.
-    pub soundness: AtomicU64,
-    /// Stats requests received.
-    pub stats: AtomicU64,
-    /// Malformed requests answered with an error.
-    pub errors: AtomicU64,
-    /// Worker batches that contained more than one certify request.
-    pub batches: AtomicU64,
-    /// Certify requests that rode in a multi-request batch.
-    pub batched_certifies: AtomicU64,
-    /// Honest-prover executions (cache misses + bypasses).
-    pub proves: AtomicU64,
-    /// End-to-end request latency (queue + service).
-    pub latency: LatencyHistogram,
-    /// Per-scheme counters, one slot per registry entry.
-    pub per_scheme: Vec<SchemeMetrics>,
-    /// Currently open connections (gauge: incremented on accept,
-    /// decremented on close).
-    pub conns_open: AtomicU64,
-    /// Connections accepted since boot.
-    pub conns_accepted: AtomicU64,
-    /// Accept attempts that returned `EAGAIN` — one per reactor
-    /// accept burst, so the ratio to `conns_accepted` reads as
-    /// connections-per-wakeup (always 0 in threaded mode, whose
-    /// accept call blocks).
-    pub accept_eagain: AtomicU64,
-    /// Connections closed by the idle-connection timeout.
-    pub idle_timeouts: AtomicU64,
-    /// Per-stage request latency (v5).
-    pub stages: StageMetrics,
-    /// Jobs that found the worker queue full and parked on their
-    /// connection instead (v5; reactor only — the threaded reader
-    /// blocks in `push`).
-    pub queue_full_stalls: AtomicU64,
-    /// Times a stalled connection's read interest was dropped so the
-    /// kernel buffers the back-pressure (v5).
-    pub read_interest_drops: AtomicU64,
-    /// Times a parked job finally enqueued and read interest was
-    /// restored (v5).
-    pub read_interest_restores: AtomicU64,
-    /// Times a worker completion had to wake an event loop via its
-    /// eventfd (v5) — completions that landed while the loop was
-    /// already awake don't count, so the ratio to responses reads as
-    /// wakeups-per-response.
-    pub inbox_wakeups: AtomicU64,
-    /// Records absorbed from StorePush frames (v6) — replica writes,
-    /// read-repair backfills, and peer anti-entropy all land here.
-    pub repl_push_merged: AtomicU64,
-    /// StorePush records already present, deduplicated by content
-    /// key (v6).
-    pub repl_push_duplicates: AtomicU64,
-    /// Records this node pushed to peers that were missing them (v6;
-    /// anti-entropy sweep client side).
-    pub repl_pushed: AtomicU64,
-    /// Completed anti-entropy sweep rounds over the peer set (v6).
-    pub repl_sweeps: AtomicU64,
-    /// Peer exchanges that failed mid-sweep (dial or wire errors;
-    /// v6). The sweep retries on its next round, so a transient
-    /// non-zero value here is self-healing.
-    pub repl_errors: AtomicU64,
-    /// Chunked graph-upload sessions opened (v7).
-    pub chunk_sessions: AtomicU64,
-    /// GraphChunk frames accepted into a session (v7).
-    pub chunk_chunks: AtomicU64,
-    /// Payload bytes streamed through chunk sessions (v7).
-    pub chunk_bytes: AtomicU64,
-    /// Chunk sessions aborted: replaced by a new Begin, killed by a
-    /// protocol error, or abandoned when the connection closed (v7).
-    pub chunk_aborts: AtomicU64,
-    /// High-water mark of the stream decoder's carry buffer in bytes
-    /// (v7 max-gauge, `fetch_max`). Bounded by one varint (< 10), so
-    /// this *is* the proof that reassembly memory is O(chunk), not
-    /// O(graph encoding).
-    pub chunk_carry_peak: AtomicU64,
-    /// Graph components this node delegated to ring peers during a
-    /// composite summary certify (v7).
-    pub delegated_proves: AtomicU64,
-    /// Delegations that failed (peer unreachable, broken stream, or
-    /// error response) and fell back to a local prove (v7).
-    pub delegated_errors: AtomicU64,
-    /// Component outcomes folded into one merged Outcome (v7; one per
-    /// composite certify, not per component).
-    pub outcome_merges: AtomicU64,
-    /// Completed audit sweeps over the stored certificates (v8).
-    pub audit_sweeps: AtomicU64,
-    /// Stored records sampled by the auditor (v8).
-    pub audit_sampled: AtomicU64,
-    /// Sampled records whose bytes were CRC-valid but failed
-    /// re-verification — fingerprint mismatch, outcome inconsistency,
-    /// or a per-node verifier reject (v8).
-    pub audit_failed: AtomicU64,
-    /// Failed records actually purged from both cache tiers (v8;
-    /// tracks `audit_failed` unless a quarantine itself errored).
-    pub audit_quarantined: AtomicU64,
-    /// Interactive (dMAM) wire sessions opened (v8).
-    pub interactive_sessions: AtomicU64,
-    /// Interactive verdicts that rejected at least one node (v8).
-    pub interactive_rejects: AtomicU64,
+impl SchemeMetrics {
+    /// A point-in-time copy of the counters, as the table row of the
+    /// scheme with wire id `id`.
+    pub(crate) fn snapshot(&self, id: u16, name: &str) -> SchemeStats {
+        SchemeStats {
+            id,
+            name: name.to_string(),
+            certify: self.certify.load(Ordering::Relaxed),
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            proves: self.proves.load(Ordering::Relaxed),
+            latency: self.latency.snapshot(),
+        }
+    }
+}
+
+/// How a Stats scalar counts: the Prometheus type it exports as, and
+/// how [`StatsSnapshot::absorb`] folds it across a fleet.
+enum Kind {
+    /// A count since boot; the fleet's is the sum.
+    Counter,
+    /// A level right now; the fleet's is the sum.
+    Gauge,
+    /// A high-water mark; the fleet's is the worst node's.
+    MaxGauge,
+}
+
+/// One row of the Stats field table, as data for the codec, the fleet
+/// fold and the Prometheus renderer.
+struct Field {
+    /// The Stats wire version whose trailing tail carries the field.
+    version: u8,
+    kind: Kind,
+    /// The Prometheus series: a family name, plus labels when several
+    /// fields share one family.
+    series: &'static str,
+    /// The Prometheus help text, also the field's rustdoc.
+    help: &'static str,
+}
+
+/// Generates everything a scalar Stats field needs from one row of the
+/// table below:
+/// - the [`Metrics`] atomic, for rows whose source is `atomic`, and its
+///   load in `Metrics::snapshot`;
+/// - the [`StatsSnapshot`] field, documented by the help text;
+/// - the row in `FIELDS`, which drives the wire codec, the fleet fold
+///   and `/metrics`, and the value in `StatsSnapshot::scalars`.
+///
+/// A row reads `version name: Kind, source, "series", "help";`, after
+/// optional `///` lines that extend the rustdoc. Rows are in wire order,
+/// so a tail boundary falls wherever `version` changes. `source` is
+/// `atomic` for a counter the request paths bump, or `cache`, `store`
+/// or `queue` for a value `server::snapshot` fills in.
+macro_rules! stats_fields {
+    ($(
+        $(#[$doc:meta])*
+        $version:literal $name:ident: $kind:ident, $source:ident, $series:literal, $help:literal;
+    )*) => {
+        metrics_atomics!([] $([$help $(#[$doc])*] $name $source;)*);
+
+        /// A point-in-time copy of every counter, as shipped in a Stats
+        /// response. Cache, store and queue fields are filled in by the
+        /// server from those components' own counters.
+        #[derive(Debug, Clone, PartialEq, Default)]
+        pub struct StatsSnapshot {
+            $(
+                #[doc = $help]
+                $(#[$doc])*
+                #[doc = concat!("Stats v", $version, "; `/metrics`: `", $series, "`.")]
+                pub $name: u64,
+            )*
+            /// Request latency histogram, on the wire right after the v2
+            /// counters.
+            pub latency: HistogramSnapshot,
+            /// Per-scheme counters, one row per registered scheme, on the
+            /// wire right after the latency histogram.
+            pub per_scheme: Vec<SchemeStats>,
+            /// Per-stage latency histograms, at the head of the v5 tail.
+            pub stages: StageSnapshot,
+        }
+
+        /// The scalar Stats fields, in wire order.
+        const FIELDS: &[Field] = &[$(Field {
+            version: $version,
+            kind: Kind::$kind,
+            series: $series,
+            help: $help,
+        }),*];
+
+        impl StatsSnapshot {
+            /// The scalar fields' values, in [`FIELDS`] order.
+            fn scalars(&self) -> [u64; FIELDS.len()] {
+                [$(self.$name),*]
+            }
+
+            /// The scalar fields, in [`FIELDS`] order.
+            fn scalars_mut(&mut self) -> [&mut u64; FIELDS.len()] {
+                [$(&mut self.$name),*]
+            }
+        }
+    };
+}
+
+/// Collects the `atomic` rows of [`stats_fields!`] into [`Metrics`].
+macro_rules! metrics_atomics {
+    ([$($atomic:tt)*] [$help:literal $(#[$doc:meta])*] $name:ident atomic; $($rest:tt)*) => {
+        metrics_atomics!([$($atomic)* [$help $(#[$doc])*] $name] $($rest)*);
+    };
+    ($atomic:tt [$($row:tt)*] $name:ident $(cache)? $(store)? $(queue)?; $($rest:tt)*) => {
+        metrics_atomics!($atomic $($rest)*);
+    };
+    ([$([$help:literal $(#[$doc:meta])*] $name:ident)*]) => {
+        /// Live server counters.
+        #[derive(Debug, Default)]
+        pub struct Metrics {
+            $(
+                #[doc = $help]
+                $(#[$doc])*
+                pub $name: AtomicU64,
+            )*
+            /// End-to-end request latency (queue + service).
+            pub latency: LatencyHistogram,
+            /// Per-scheme counters, one slot per registry entry.
+            pub per_scheme: Vec<SchemeMetrics>,
+            /// Per-stage request latency (v5).
+            pub stages: StageMetrics,
+        }
+
+        impl Metrics {
+            /// Loads every atomic and histogram into a snapshot. The
+            /// per-scheme rows and the fields the server fills from the
+            /// cache, the store and the queue stay empty.
+            pub(crate) fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                    latency: self.latency.snapshot(),
+                    stages: self.stages.snapshot(),
+                    ..StatsSnapshot::default()
+                }
+            }
+        }
+    };
+}
+
+stats_fields! {
+    // v2 prefix: requests, the hot cache and the worker pool
+    2 certify: Counter, atomic, "dpc_requests_total{kind=\"certify\"}",
+        "Requests received, by wire kind.";
+    2 check: Counter, atomic, "dpc_requests_total{kind=\"check\"}",
+        "Requests received, by wire kind.";
+    2 gen: Counter, atomic, "dpc_requests_total{kind=\"gen\"}",
+        "Requests received, by wire kind.";
+    2 soundness: Counter, atomic, "dpc_requests_total{kind=\"soundness\"}",
+        "Requests received, by wire kind.";
+    2 stats: Counter, atomic, "dpc_requests_total{kind=\"stats\"}",
+        "Requests received, by wire kind.";
+    2 errors: Counter, atomic, "dpc_errors_total", "Malformed requests answered with an error.";
+    2 cache_hits: Counter, cache, "dpc_cache_hits_total", "Cache hits.";
+    2 cache_misses: Counter, cache, "dpc_cache_misses_total", "Cache misses.";
+    2 cache_evictions: Counter, cache, "dpc_cache_evictions_total", "Cache evictions.";
+    2 cache_entries: Gauge, cache, "dpc_cache_entries", "Live cache entries.";
+    2 cache_bytes: Gauge, cache, "dpc_cache_bytes", "Bytes charged against the cache budget.";
+    2 batches: Counter, atomic, "dpc_batches_total", "Worker batches with more than one certify.";
+    2 batched_certifies: Counter, atomic, "dpc_batched_certifies_total",
+        "Certify requests that rode in a multi-request batch.";
+    /// Cache misses plus bypasses.
+    2 proves: Counter, atomic, "dpc_proves_total", "Honest-prover executions.";
+
+    // v3 tail: the cold tier; all zero without a store
+    3 store_hits: Counter, store, "dpc_store_hits_total", "Cold-tier lookups that found a record.";
+    3 store_misses: Counter, store, "dpc_store_misses_total", "Cold-tier lookups that found nothing.";
+    3 store_demotes: Counter, store, "dpc_store_demotes_total",
+        "Hot-tier evictions demoted to the cold tier instead of lost.";
+    3 store_promotes: Counter, store, "dpc_store_promotes_total",
+        "Cold hits promoted back into the hot tier.";
+    3 store_records: Gauge, store, "dpc_store_records", "Live records in the cold tier.";
+    3 store_bytes: Gauge, store, "dpc_store_bytes", "Live record bytes in the cold tier.";
+    /// Nonzero exactly when a store is attached.
+    3 store_segments: Gauge, store, "dpc_store_segments", "Cold-tier segment files.";
+    /// Up to this many demoted certificates are not in the store, and
+    /// they re-prove after a restart.
+    3 store_write_errors: Counter, store, "dpc_store_write_errors_total",
+        "Write-behind appends that failed.";
+
+    // v4 tail: the accept path
+    4 conns_open: Gauge, atomic, "dpc_conns_open", "Currently open connections.";
+    4 conns_accepted: Counter, atomic, "dpc_conns_accepted_total",
+        "Connections accepted since boot.";
+    /// One per reactor accept burst, so accepted connections over this
+    /// count reads as connections per wakeup. Always 0 in threaded
+    /// mode, whose accept call blocks.
+    4 accept_eagain: Counter, atomic, "dpc_accept_eagain_total",
+        "Accept attempts that returned EAGAIN.";
+    4 idle_timeouts: Counter, atomic, "dpc_idle_timeouts_total",
+        "Connections closed by the idle timeout.";
+
+    // v5 tail, after the five stage histograms: back-pressure
+    /// Reactor only: the threaded reader blocks in `push` instead.
+    5 queue_full_stalls: Counter, atomic, "dpc_queue_full_stalls_total",
+        "Jobs parked on their connection because the queue was full.";
+    5 read_interest_drops: Counter, atomic, "dpc_read_interest_drops_total",
+        "Read-interest drops while a job was parked.";
+    5 read_interest_restores: Counter, atomic, "dpc_read_interest_restores_total",
+        "Read-interest restores after a parked job enqueued.";
+    /// Completions that land while the loop is awake don't count, so
+    /// over responses this reads as wakeups per response.
+    5 inbox_wakeups: Counter, atomic, "dpc_inbox_wakeups_total",
+        "Worker completions that had to wake an event loop.";
+    5 queue_depth: Gauge, queue, "dpc_queue_depth", "Jobs waiting in the worker queue.";
+
+    // v6 tail: replication
+    /// Replica writes, read-repair backfills and peer anti-entropy all
+    /// land here.
+    6 repl_push_merged: Counter, atomic, "dpc_repl_push_merged_total",
+        "Records absorbed from StorePush frames.";
+    6 repl_push_duplicates: Counter, atomic, "dpc_repl_push_duplicates_total",
+        "StorePush records that were already present.";
+    6 repl_pushed: Counter, atomic, "dpc_repl_pushed_total",
+        "Records pushed to peers that lacked them.";
+    6 repl_sweeps: Counter, atomic, "dpc_repl_sweeps_total",
+        "Completed anti-entropy sweep rounds.";
+    /// A sweep retries on its next round, so a transient nonzero value
+    /// heals itself.
+    6 repl_errors: Counter, atomic, "dpc_repl_errors_total",
+        "Failed peer exchanges during sweeps.";
+
+    // v7 tail: chunked uploads and distributed proving
+    7 chunk_sessions: Counter, atomic, "dpc_chunk_sessions_total",
+        "Chunked graph-upload sessions opened.";
+    7 chunk_chunks: Counter, atomic, "dpc_chunk_chunks_total",
+        "GraphChunk frames accepted into a session.";
+    7 chunk_bytes: Counter, atomic, "dpc_chunk_bytes_total",
+        "Payload bytes streamed through chunk sessions.";
+    /// Replaced by a new Begin, killed by a protocol error, or abandoned
+    /// when the connection closed.
+    7 chunk_aborts: Counter, atomic, "dpc_chunk_aborts_total",
+        "Chunk sessions aborted or abandoned.";
+    /// Raised with `fetch_max`. Bounded by one varint (< 10 bytes), which
+    /// shows reassembly memory is O(chunk), not O(graph encoding).
+    7 chunk_carry_peak: MaxGauge, atomic, "dpc_chunk_carry_peak_bytes",
+        "Peak stream-decoder carry buffer across chunk sessions.";
+    7 delegated_proves: Counter, atomic, "dpc_delegated_proves_total",
+        "Graph components delegated to ring peers.";
+    7 delegated_errors: Counter, atomic, "dpc_delegated_errors_total",
+        "Delegations that fell back to a local prove.";
+    /// One per merged certification, not one per component.
+    7 outcome_merges: Counter, atomic, "dpc_outcome_merges_total",
+        "Component outcomes folded into one merged Outcome.";
+
+    // v8 tail: the store auditor and interactive sessions
+    8 audit_sweeps: Counter, atomic, "dpc_audit_sweeps_total",
+        "Completed audit sweeps over the stored certificates.";
+    8 audit_sampled: Counter, atomic, "dpc_audit_sampled_total",
+        "Stored records sampled by the auditor.";
+    /// A fingerprint mismatch, an inconsistent outcome, or a per-node
+    /// verifier reject.
+    8 audit_failed: Counter, atomic, "dpc_audit_failed_total",
+        "Sampled records that were CRC-valid but failed re-verification.";
+    /// Tracks the failures unless a quarantine itself errored.
+    8 audit_quarantined: Counter, atomic, "dpc_audit_quarantined_total",
+        "Failed records purged from both cache tiers.";
+    8 interactive_sessions: Counter, atomic, "dpc_interactive_sessions_total",
+        "Interactive (dMAM) wire sessions opened.";
+    8 interactive_rejects: Counter, atomic, "dpc_interactive_rejects_total",
+        "Interactive verdicts that rejected at least one node.";
 }
 
 impl Metrics {
@@ -638,142 +797,48 @@ impl SchemeStats {
     }
 
     /// Adds another row's counters and latency into this one (same
-    /// scheme measured on another node).
+    /// scheme measured on another node), saturating.
     pub fn absorb(&mut self, other: &SchemeStats) {
-        self.certify += other.certify;
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.proves += other.proves;
+        self.certify = self.certify.saturating_add(other.certify);
+        self.hits = self.hits.saturating_add(other.hits);
+        self.misses = self.misses.saturating_add(other.misses);
+        self.proves = self.proves.saturating_add(other.proves);
         self.latency.absorb(&other.latency);
     }
 }
 
-/// A point-in-time copy of every counter, as shipped in a Stats
-/// response. Cache fields are merged in by the server from the
-/// certificate cache's own counters.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct StatsSnapshot {
-    /// Certify requests received.
-    pub certify: u64,
-    /// Check requests received.
-    pub check: u64,
-    /// Gen requests received.
-    pub gen: u64,
-    /// Soundness probes received.
-    pub soundness: u64,
-    /// Stats requests received.
-    pub stats: u64,
-    /// Malformed requests answered with an error.
-    pub errors: u64,
-    /// Cache hits.
-    pub cache_hits: u64,
-    /// Cache misses.
-    pub cache_misses: u64,
-    /// Cache evictions.
-    pub cache_evictions: u64,
-    /// Live cache entries.
-    pub cache_entries: u64,
-    /// Bytes charged against the cache budget.
-    pub cache_bytes: u64,
-    /// Worker batches with more than one certify request.
-    pub batches: u64,
-    /// Certify requests that rode in a multi-request batch.
-    pub batched_certifies: u64,
-    /// Honest-prover executions.
-    pub proves: u64,
-    /// Request latency histogram.
-    pub latency: HistogramSnapshot,
-    /// Per-scheme counters, one row per registered scheme.
-    pub per_scheme: Vec<SchemeStats>,
-    /// Cold-tier lookups that found a record (v3; 0 without a store).
-    pub store_hits: u64,
-    /// Cold-tier lookups that found nothing (v3).
-    pub store_misses: u64,
-    /// Hot-tier evictions demoted to the cold tier instead of lost
-    /// (v3).
-    pub store_demotes: u64,
-    /// Cold hits promoted back into the hot tier (v3).
-    pub store_promotes: u64,
-    /// Live records in the cold tier (v3 gauge).
-    pub store_records: u64,
-    /// Live record bytes in the cold tier (v3 gauge).
-    pub store_bytes: u64,
-    /// Cold-tier segment files (v3 gauge; > 0 iff a store is
-    /// attached).
-    pub store_segments: u64,
-    /// Write-behind appends that failed (v3). Non-zero means up to
-    /// this many certificates are *not* in the store despite the
-    /// demotion counter — they re-prove after a restart.
-    pub store_write_errors: u64,
-    /// Currently open connections (v4 gauge).
-    pub conns_open: u64,
-    /// Connections accepted since boot (v4).
-    pub conns_accepted: u64,
-    /// Accept attempts that returned `EAGAIN` (v4; reactor only —
-    /// the threaded accept loop blocks instead).
-    pub accept_eagain: u64,
-    /// Connections closed by the idle timeout (v4).
-    pub idle_timeouts: u64,
-    /// Per-stage latency histograms (v5).
-    pub stages: StageSnapshot,
-    /// Jobs parked on their connection because the worker queue was
-    /// full (v5; reactor only).
-    pub queue_full_stalls: u64,
-    /// Read-interest drops while a job was parked (v5).
-    pub read_interest_drops: u64,
-    /// Read-interest restores after a parked job enqueued (v5).
-    pub read_interest_restores: u64,
-    /// Worker completions that had to wake an event loop (v5).
-    pub inbox_wakeups: u64,
-    /// Jobs sitting in the worker queue right now (v5 gauge).
-    pub queue_depth: u64,
-    /// Records absorbed from StorePush frames (v6): replica writes,
-    /// read-repair backfills, and peer anti-entropy pushes.
-    pub repl_push_merged: u64,
-    /// StorePush records that were already present (v6).
-    pub repl_push_duplicates: u64,
-    /// Records this node pushed to peers that lacked them (v6).
-    pub repl_pushed: u64,
-    /// Completed anti-entropy sweep rounds (v6).
-    pub repl_sweeps: u64,
-    /// Failed peer exchanges during sweeps (v6).
-    pub repl_errors: u64,
-    /// Chunked graph-upload sessions opened (v7).
-    pub chunk_sessions: u64,
-    /// GraphChunk frames accepted into a session (v7).
-    pub chunk_chunks: u64,
-    /// Payload bytes streamed through chunk sessions (v7).
-    pub chunk_bytes: u64,
-    /// Chunk sessions aborted or abandoned (v7).
-    pub chunk_aborts: u64,
-    /// Peak carry-buffer bytes across all chunk sessions (v7 gauge;
-    /// < 10 proves O(chunk) reassembly memory).
-    pub chunk_carry_peak: u64,
-    /// Components delegated to ring peers (v7).
-    pub delegated_proves: u64,
-    /// Delegations that fell back to a local prove (v7).
-    pub delegated_errors: u64,
-    /// Merged component outcomes (v7; one per composite certify).
-    pub outcome_merges: u64,
-    /// Completed audit sweeps over the stored certificates (v8).
-    pub audit_sweeps: u64,
-    /// Stored records sampled by the auditor (v8).
-    pub audit_sampled: u64,
-    /// Sampled records that were CRC-valid but failed re-verification
-    /// (v8).
-    pub audit_failed: u64,
-    /// Failed records purged from both cache tiers (v8).
-    pub audit_quarantined: u64,
-    /// Interactive (dMAM) wire sessions opened (v8).
-    pub interactive_sessions: u64,
-    /// Interactive verdicts that rejected at least one node (v8).
-    pub interactive_rejects: u64,
+/// The trailing tails of the Stats layout: runs of [`FIELDS`] rows that
+/// share a wire version, oldest first. The first is the v2 prefix.
+fn tails() -> impl Iterator<Item = &'static [Field]> {
+    FIELDS.chunk_by(|a, b| a.version == b.version)
 }
 
+// A row out of version order would land mid-layout and shift every
+// later field for older decoders.
+const _: () = {
+    assert!(
+        FIELDS[0].version == 2,
+        "the table starts with the v2 prefix"
+    );
+    let mut i = 1;
+    while i < FIELDS.len() {
+        assert!(
+            FIELDS[i - 1].version <= FIELDS[i].version,
+            "rows must be in wire order"
+        );
+        i += 1;
+    }
+};
+
 impl StatsSnapshot {
-    /// Total requests received.
+    /// Total requests received: the sum of the `dpc_requests_total`
+    /// series.
     pub fn requests_total(&self) -> u64 {
-        self.certify + self.check + self.gen + self.soundness + self.stats
+        FIELDS
+            .iter()
+            .zip(self.scalars())
+            .filter(|(field, _)| field.series.starts_with("dpc_requests_total{"))
+            .fold(0, |sum, (_, v)| sum.saturating_add(v))
     }
 
     /// The row of a scheme, by name.
@@ -781,252 +846,88 @@ impl StatsSnapshot {
         self.per_scheme.iter().find(|s| s.name == name)
     }
 
-    /// Appends the wire encoding.
+    /// Appends the wire encoding: the v2 prefix, then each later
+    /// version's tail strictly after the one before, so every older
+    /// decoder still reads its own prefix.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        for v in [
-            self.certify,
-            self.check,
-            self.gen,
-            self.soundness,
-            self.stats,
-            self.errors,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.cache_entries,
-            self.cache_bytes,
-            self.batches,
-            self.batched_certifies,
-            self.proves,
-        ] {
-            put_uvarint(out, v);
-        }
-        encode_histogram(out, &self.latency);
-        put_uvarint(out, self.per_scheme.len() as u64);
-        for row in &self.per_scheme {
-            row.encode_into(out);
-        }
-        // version-3 tail: storage-tier counters and gauges, strictly
-        // after every v2 field so the v2 prefix decodes unchanged
-        for v in [
-            self.store_hits,
-            self.store_misses,
-            self.store_demotes,
-            self.store_promotes,
-            self.store_records,
-            self.store_bytes,
-            self.store_segments,
-            self.store_write_errors,
-        ] {
-            put_uvarint(out, v);
-        }
-        // version-4 tail: connection counters, strictly after the v3
-        // tail for the same reason
-        for v in [
-            self.conns_open,
-            self.conns_accepted,
-            self.accept_eagain,
-            self.idle_timeouts,
-        ] {
-            put_uvarint(out, v);
-        }
-        // version-5 tail: per-stage histograms then back-pressure
-        // counters, strictly after the v4 tail
-        for (_, h) in self.stages.named() {
-            encode_histogram(out, h);
-        }
-        for v in [
-            self.queue_full_stalls,
-            self.read_interest_drops,
-            self.read_interest_restores,
-            self.inbox_wakeups,
-            self.queue_depth,
-        ] {
-            put_uvarint(out, v);
-        }
-        // version-6 tail: replication counters, strictly after the v5
-        // tail so every older decoder still reads its own prefix
-        for v in [
-            self.repl_push_merged,
-            self.repl_push_duplicates,
-            self.repl_pushed,
-            self.repl_sweeps,
-            self.repl_errors,
-        ] {
-            put_uvarint(out, v);
-        }
-        // version-7 tail: chunked-upload and distributed-proving
-        // counters, strictly after the v6 tail
-        for v in [
-            self.chunk_sessions,
-            self.chunk_chunks,
-            self.chunk_bytes,
-            self.chunk_aborts,
-            self.chunk_carry_peak,
-            self.delegated_proves,
-            self.delegated_errors,
-            self.outcome_merges,
-        ] {
-            put_uvarint(out, v);
-        }
-        // version-8 tail: audit and interactive-session counters,
-        // strictly after the v7 tail
-        for v in [
-            self.audit_sweeps,
-            self.audit_sampled,
-            self.audit_failed,
-            self.audit_quarantined,
-            self.interactive_sessions,
-            self.interactive_rejects,
-        ] {
-            put_uvarint(out, v);
+        let mut values = self.scalars().into_iter();
+        for tail in tails() {
+            // the five stage histograms open the v5 tail
+            if tail[0].version == 5 {
+                for (_, h) in self.stages.named() {
+                    encode_histogram(out, h);
+                }
+            }
+            for v in values.by_ref().take(tail.len()) {
+                put_uvarint(out, v);
+            }
+            // the latency histogram and per-scheme rows close the v2
+            // prefix
+            if tail[0].version == 2 {
+                encode_histogram(out, &self.latency);
+                put_uvarint(out, self.per_scheme.len() as u64);
+                for row in &self.per_scheme {
+                    row.encode_into(out);
+                }
+            }
         }
     }
 
-    /// Decodes a snapshot from the front of `buf`, advancing it.
+    /// Decodes a snapshot from the front of `buf`, advancing it. A body
+    /// from an older server ends before the tails it predates, and
+    /// their fields decode as zeros.
     pub fn decode_from(buf: &mut &[u8]) -> Result<StatsSnapshot, DecodeError> {
         let mut s = StatsSnapshot::default();
-        for field in [
-            &mut s.certify,
-            &mut s.check,
-            &mut s.gen,
-            &mut s.soundness,
-            &mut s.stats,
-            &mut s.errors,
-            &mut s.cache_hits,
-            &mut s.cache_misses,
-            &mut s.cache_evictions,
-            &mut s.cache_entries,
-            &mut s.cache_bytes,
-            &mut s.batches,
-            &mut s.batched_certifies,
-            &mut s.proves,
-        ] {
-            *field = get_uvarint(buf)?;
-        }
-        s.latency = decode_histogram(buf)?;
-        let rows = get_uvarint(buf)? as usize;
-        if rows > MAX_SCHEME_ROWS {
-            return Err(DecodeError::OutOfBits);
-        }
-        s.per_scheme = (0..rows)
-            .map(|_| SchemeStats::decode_from(buf))
-            .collect::<Result<_, _>>()?;
-        // the v3 storage tail is absent in version-2 bodies; absence
-        // decodes as zeros (no store attached)
-        if !buf.is_empty() {
-            for field in [
-                &mut s.store_hits,
-                &mut s.store_misses,
-                &mut s.store_demotes,
-                &mut s.store_promotes,
-                &mut s.store_records,
-                &mut s.store_bytes,
-                &mut s.store_segments,
-                &mut s.store_write_errors,
-            ] {
-                *field = get_uvarint(buf)?;
+        let mut values = [0; FIELDS.len()];
+        let mut slots = values.iter_mut();
+        for tail in tails() {
+            if tail[0].version > 2 && buf.is_empty() {
+                break;
+            }
+            if tail[0].version == 5 {
+                s.stages = StageSnapshot {
+                    read_decode: decode_histogram(buf)?,
+                    queue_wait: decode_histogram(buf)?,
+                    service: decode_histogram(buf)?,
+                    reorder_wait: decode_histogram(buf)?,
+                    write_flush: decode_histogram(buf)?,
+                };
+            }
+            for slot in slots.by_ref().take(tail.len()) {
+                *slot = get_uvarint(buf)?;
+            }
+            if tail[0].version == 2 {
+                s.latency = decode_histogram(buf)?;
+                let rows = get_uvarint(buf)? as usize;
+                if rows > MAX_SCHEME_ROWS {
+                    return Err(DecodeError::OutOfBits);
+                }
+                s.per_scheme = (0..rows)
+                    .map(|_| SchemeStats::decode_from(buf))
+                    .collect::<Result<_, _>>()?;
             }
         }
-        // the v4 connection tail is absent in v2/v3 bodies; absence
-        // decodes as zeros (a server predating connection accounting)
-        if !buf.is_empty() {
-            for field in [
-                &mut s.conns_open,
-                &mut s.conns_accepted,
-                &mut s.accept_eagain,
-                &mut s.idle_timeouts,
-            ] {
-                *field = get_uvarint(buf)?;
-            }
-        }
-        // the v5 tracing tail is absent in v2–v4 bodies; absence
-        // decodes as zeros (a server predating stage tracing)
-        if !buf.is_empty() {
-            s.stages = StageSnapshot {
-                read_decode: decode_histogram(buf)?,
-                queue_wait: decode_histogram(buf)?,
-                service: decode_histogram(buf)?,
-                reorder_wait: decode_histogram(buf)?,
-                write_flush: decode_histogram(buf)?,
-            };
-            for field in [
-                &mut s.queue_full_stalls,
-                &mut s.read_interest_drops,
-                &mut s.read_interest_restores,
-                &mut s.inbox_wakeups,
-                &mut s.queue_depth,
-            ] {
-                *field = get_uvarint(buf)?;
-            }
-        }
-        // the v6 replication tail is absent in v2–v5 bodies; absence
-        // decodes as zeros (a server predating replication)
-        if !buf.is_empty() {
-            for field in [
-                &mut s.repl_push_merged,
-                &mut s.repl_push_duplicates,
-                &mut s.repl_pushed,
-                &mut s.repl_sweeps,
-                &mut s.repl_errors,
-            ] {
-                *field = get_uvarint(buf)?;
-            }
-        }
-        // the v7 chunk/distribution tail is absent in v2–v6 bodies;
-        // absence decodes as zeros (a server predating giant graphs)
-        if !buf.is_empty() {
-            for field in [
-                &mut s.chunk_sessions,
-                &mut s.chunk_chunks,
-                &mut s.chunk_bytes,
-                &mut s.chunk_aborts,
-                &mut s.chunk_carry_peak,
-                &mut s.delegated_proves,
-                &mut s.delegated_errors,
-                &mut s.outcome_merges,
-            ] {
-                *field = get_uvarint(buf)?;
-            }
-        }
-        // the v8 audit/interactive tail is absent in v2–v7 bodies;
-        // absence decodes as zeros (a server predating auditing)
-        if !buf.is_empty() {
-            for field in [
-                &mut s.audit_sweeps,
-                &mut s.audit_sampled,
-                &mut s.audit_failed,
-                &mut s.audit_quarantined,
-                &mut s.interactive_sessions,
-                &mut s.interactive_rejects,
-            ] {
-                *field = get_uvarint(buf)?;
-            }
+        for (field, v) in s.scalars_mut().into_iter().zip(values) {
+            *field = v;
         }
         Ok(s)
     }
 
     /// Folds another node's snapshot into this one: the fleet view
     /// `dpc cluster-stats` renders. Counters and gauges sum (gauges
-    /// like `cache_entries` or `store_records` become fleet totals),
-    /// latency histograms add bucket-wise, and per-scheme rows merge
-    /// by scheme id — a scheme registered on only some nodes still
-    /// gets one row.
+    /// like cached entries or stored records become fleet totals), a
+    /// high-water mark takes the worst node's, latency histograms add
+    /// bucket-wise, and per-scheme rows merge by scheme id — a scheme
+    /// registered on only some nodes still gets one row. Sums saturate,
+    /// since the other snapshot came off the wire.
     pub fn absorb(&mut self, other: &StatsSnapshot) {
-        self.certify += other.certify;
-        self.check += other.check;
-        self.gen += other.gen;
-        self.soundness += other.soundness;
-        self.stats += other.stats;
-        self.errors += other.errors;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
-        self.cache_entries += other.cache_entries;
-        self.cache_bytes += other.cache_bytes;
-        self.batches += other.batches;
-        self.batched_certifies += other.batched_certifies;
-        self.proves += other.proves;
+        let pairs = self.scalars_mut().into_iter().zip(other.scalars());
+        for ((mine, theirs), field) in pairs.zip(FIELDS) {
+            *mine = match field.kind {
+                Kind::Counter | Kind::Gauge => mine.saturating_add(theirs),
+                Kind::MaxGauge => (*mine).max(theirs),
+            };
+        }
         self.latency.absorb(&other.latency);
         for row in &other.per_scheme {
             match self.per_scheme.iter_mut().find(|r| r.id == row.id) {
@@ -1034,45 +935,7 @@ impl StatsSnapshot {
                 None => self.per_scheme.push(row.clone()),
             }
         }
-        self.store_hits += other.store_hits;
-        self.store_misses += other.store_misses;
-        self.store_demotes += other.store_demotes;
-        self.store_promotes += other.store_promotes;
-        self.store_records += other.store_records;
-        self.store_bytes += other.store_bytes;
-        self.store_segments += other.store_segments;
-        self.store_write_errors += other.store_write_errors;
-        self.conns_open += other.conns_open;
-        self.conns_accepted += other.conns_accepted;
-        self.accept_eagain += other.accept_eagain;
-        self.idle_timeouts += other.idle_timeouts;
         self.stages.absorb(&other.stages);
-        self.queue_full_stalls += other.queue_full_stalls;
-        self.read_interest_drops += other.read_interest_drops;
-        self.read_interest_restores += other.read_interest_restores;
-        self.inbox_wakeups += other.inbox_wakeups;
-        self.queue_depth += other.queue_depth;
-        self.repl_push_merged += other.repl_push_merged;
-        self.repl_push_duplicates += other.repl_push_duplicates;
-        self.repl_pushed += other.repl_pushed;
-        self.repl_sweeps += other.repl_sweeps;
-        self.repl_errors += other.repl_errors;
-        self.chunk_sessions += other.chunk_sessions;
-        self.chunk_chunks += other.chunk_chunks;
-        self.chunk_bytes += other.chunk_bytes;
-        self.chunk_aborts += other.chunk_aborts;
-        // a peak is a max, not a sum: the fleet's high-water mark is
-        // the worst node's high-water mark
-        self.chunk_carry_peak = self.chunk_carry_peak.max(other.chunk_carry_peak);
-        self.delegated_proves += other.delegated_proves;
-        self.delegated_errors += other.delegated_errors;
-        self.outcome_merges += other.outcome_merges;
-        self.audit_sweeps += other.audit_sweeps;
-        self.audit_sampled += other.audit_sampled;
-        self.audit_failed += other.audit_failed;
-        self.audit_quarantined += other.audit_quarantined;
-        self.interactive_sessions += other.interactive_sessions;
-        self.interactive_rejects += other.interactive_rejects;
     }
 }
 
@@ -1152,12 +1015,14 @@ impl fmt::Display for StatsSnapshot {
                 )?;
             }
         }
-        if self.queue_full_stalls
-            + self.read_interest_drops
-            + self.read_interest_restores
-            + self.inbox_wakeups
-            + self.queue_depth
-            > 0
+        // "any nonzero" is spelled with `|`: a sum could overflow on a
+        // fleet fold that saturated
+        if (self.queue_full_stalls
+            | self.read_interest_drops
+            | self.read_interest_restores
+            | self.inbox_wakeups
+            | self.queue_depth)
+            != 0
         {
             write!(
                 f,
@@ -1170,12 +1035,12 @@ impl fmt::Display for StatsSnapshot {
                 self.queue_depth,
             )?;
         }
-        if self.repl_push_merged
-            + self.repl_push_duplicates
-            + self.repl_pushed
-            + self.repl_sweeps
-            + self.repl_errors
-            > 0
+        if (self.repl_push_merged
+            | self.repl_push_duplicates
+            | self.repl_pushed
+            | self.repl_sweeps
+            | self.repl_errors)
+            != 0
         {
             write!(
                 f,
@@ -1188,7 +1053,7 @@ impl fmt::Display for StatsSnapshot {
                 self.repl_errors,
             )?;
         }
-        if self.chunk_sessions + self.chunk_aborts > 0 {
+        if (self.chunk_sessions | self.chunk_aborts) != 0 {
             write!(
                 f,
                 "\nchunked uploads: {} sessions, {} chunks, {} bytes, \
@@ -1200,7 +1065,7 @@ impl fmt::Display for StatsSnapshot {
                 self.chunk_carry_peak,
             )?;
         }
-        if self.delegated_proves + self.delegated_errors + self.outcome_merges > 0 {
+        if (self.delegated_proves | self.delegated_errors | self.outcome_merges) != 0 {
             write!(
                 f,
                 "\ndistributed: {} components delegated, {} delegation \
@@ -1208,14 +1073,14 @@ impl fmt::Display for StatsSnapshot {
                 self.delegated_proves, self.delegated_errors, self.outcome_merges,
             )?;
         }
-        if self.audit_sweeps + self.audit_sampled > 0 {
+        if (self.audit_sweeps | self.audit_sampled) != 0 {
             write!(
                 f,
                 "\naudit: {} sweeps, {} sampled, {} failed, {} quarantined",
                 self.audit_sweeps, self.audit_sampled, self.audit_failed, self.audit_quarantined,
             )?;
         }
-        if self.interactive_sessions + self.interactive_rejects > 0 {
+        if (self.interactive_sessions | self.interactive_rejects) != 0 {
             write!(
                 f,
                 "\ninteractive: {} sessions, {} rejecting verdicts",
@@ -1252,273 +1117,26 @@ impl fmt::Display for StatsSnapshot {
 pub fn prometheus_text(s: &StatsSnapshot) -> String {
     use std::fmt::Write;
     let mut out = String::with_capacity(4096);
-    let mut metric = |name: &str, kind: &str, help: &str, series: &[(String, u64)]| {
+    let header = |out: &mut String, name: &str, kind: &str, help: &str| {
         let _ = writeln!(out, "# HELP {name} {help}");
         let _ = writeln!(out, "# TYPE {name} {kind}");
-        for (labels, value) in series {
-            let _ = writeln!(out, "{name}{labels} {value}");
-        }
     };
-    metric(
-        "dpc_requests_total",
-        "counter",
-        "Requests received, by wire kind.",
-        &[
-            ("{kind=\"certify\"}".into(), s.certify),
-            ("{kind=\"check\"}".into(), s.check),
-            ("{kind=\"gen\"}".into(), s.gen),
-            ("{kind=\"soundness\"}".into(), s.soundness),
-            ("{kind=\"stats\"}".into(), s.stats),
-        ],
-    );
-    let plain: [(&str, &str, &str, u64); 40] = [
-        (
-            "dpc_errors_total",
-            "counter",
-            "Malformed requests answered with an error.",
-            s.errors,
-        ),
-        (
-            "dpc_proves_total",
-            "counter",
-            "Honest-prover executions.",
-            s.proves,
-        ),
-        (
-            "dpc_batches_total",
-            "counter",
-            "Worker batches with more than one certify.",
-            s.batches,
-        ),
-        (
-            "dpc_batched_certifies_total",
-            "counter",
-            "Certify requests that rode in a multi-request batch.",
-            s.batched_certifies,
-        ),
-        (
-            "dpc_cache_hits_total",
-            "counter",
-            "Cache hits.",
-            s.cache_hits,
-        ),
-        (
-            "dpc_cache_misses_total",
-            "counter",
-            "Cache misses.",
-            s.cache_misses,
-        ),
-        (
-            "dpc_cache_evictions_total",
-            "counter",
-            "Cache evictions.",
-            s.cache_evictions,
-        ),
-        (
-            "dpc_cache_entries",
-            "gauge",
-            "Live cache entries.",
-            s.cache_entries,
-        ),
-        (
-            "dpc_cache_bytes",
-            "gauge",
-            "Bytes charged against the cache budget.",
-            s.cache_bytes,
-        ),
-        (
-            "dpc_store_hits_total",
-            "counter",
-            "Cold-tier lookups that found a record.",
-            s.store_hits,
-        ),
-        (
-            "dpc_store_misses_total",
-            "counter",
-            "Cold-tier lookups that found nothing.",
-            s.store_misses,
-        ),
-        (
-            "dpc_store_records",
-            "gauge",
-            "Live records in the cold tier.",
-            s.store_records,
-        ),
-        (
-            "dpc_store_bytes",
-            "gauge",
-            "Live record bytes in the cold tier.",
-            s.store_bytes,
-        ),
-        (
-            "dpc_conns_open",
-            "gauge",
-            "Currently open connections.",
-            s.conns_open,
-        ),
-        (
-            "dpc_conns_accepted_total",
-            "counter",
-            "Connections accepted since boot.",
-            s.conns_accepted,
-        ),
-        (
-            "dpc_idle_timeouts_total",
-            "counter",
-            "Connections closed by the idle timeout.",
-            s.idle_timeouts,
-        ),
-        (
-            "dpc_queue_depth",
-            "gauge",
-            "Jobs waiting in the worker queue.",
-            s.queue_depth,
-        ),
-        (
-            "dpc_queue_full_stalls_total",
-            "counter",
-            "Jobs parked on their connection because the queue was full.",
-            s.queue_full_stalls,
-        ),
-        (
-            "dpc_read_interest_drops_total",
-            "counter",
-            "Read-interest drops while a job was parked.",
-            s.read_interest_drops,
-        ),
-        (
-            "dpc_read_interest_restores_total",
-            "counter",
-            "Read-interest restores after a parked job enqueued.",
-            s.read_interest_restores,
-        ),
-        (
-            "dpc_inbox_wakeups_total",
-            "counter",
-            "Worker completions that had to wake an event loop.",
-            s.inbox_wakeups,
-        ),
-        (
-            "dpc_repl_push_merged_total",
-            "counter",
-            "Records absorbed from StorePush frames.",
-            s.repl_push_merged,
-        ),
-        (
-            "dpc_repl_push_duplicates_total",
-            "counter",
-            "StorePush records that were already present.",
-            s.repl_push_duplicates,
-        ),
-        (
-            "dpc_repl_pushed_total",
-            "counter",
-            "Records pushed to peers that lacked them.",
-            s.repl_pushed,
-        ),
-        (
-            "dpc_repl_sweeps_total",
-            "counter",
-            "Completed anti-entropy sweep rounds.",
-            s.repl_sweeps,
-        ),
-        (
-            "dpc_repl_errors_total",
-            "counter",
-            "Failed peer exchanges during sweeps.",
-            s.repl_errors,
-        ),
-        (
-            "dpc_chunk_sessions_total",
-            "counter",
-            "Chunked graph-upload sessions opened.",
-            s.chunk_sessions,
-        ),
-        (
-            "dpc_chunk_chunks_total",
-            "counter",
-            "GraphChunk frames accepted into a session.",
-            s.chunk_chunks,
-        ),
-        (
-            "dpc_chunk_bytes_total",
-            "counter",
-            "Payload bytes streamed through chunk sessions.",
-            s.chunk_bytes,
-        ),
-        (
-            "dpc_chunk_aborts_total",
-            "counter",
-            "Chunk sessions aborted or abandoned.",
-            s.chunk_aborts,
-        ),
-        (
-            "dpc_chunk_carry_peak_bytes",
-            "gauge",
-            "Peak stream-decoder carry buffer across chunk sessions.",
-            s.chunk_carry_peak,
-        ),
-        (
-            "dpc_delegated_proves_total",
-            "counter",
-            "Graph components delegated to ring peers.",
-            s.delegated_proves,
-        ),
-        (
-            "dpc_delegated_errors_total",
-            "counter",
-            "Delegations that fell back to a local prove.",
-            s.delegated_errors,
-        ),
-        (
-            "dpc_outcome_merges_total",
-            "counter",
-            "Component outcomes folded into one merged Outcome.",
-            s.outcome_merges,
-        ),
-        (
-            "dpc_audit_sweeps_total",
-            "counter",
-            "Completed audit sweeps over the stored certificates.",
-            s.audit_sweeps,
-        ),
-        (
-            "dpc_audit_sampled_total",
-            "counter",
-            "Stored records sampled by the auditor.",
-            s.audit_sampled,
-        ),
-        (
-            "dpc_audit_failed_total",
-            "counter",
-            "Sampled records that were CRC-valid but failed re-verification.",
-            s.audit_failed,
-        ),
-        (
-            "dpc_audit_quarantined_total",
-            "counter",
-            "Failed records purged from both cache tiers.",
-            s.audit_quarantined,
-        ),
-        (
-            "dpc_interactive_sessions_total",
-            "counter",
-            "Interactive (dMAM) wire sessions opened.",
-            s.interactive_sessions,
-        ),
-        (
-            "dpc_interactive_rejects_total",
-            "counter",
-            "Interactive verdicts that rejected at least one node.",
-            s.interactive_rejects,
-        ),
-    ];
-    for (name, kind, help, value) in plain {
-        metric(name, kind, help, &[(String::new(), value)]);
+    let mut last_family = "";
+    for (field, value) in FIELDS.iter().zip(s.scalars()) {
+        let labels_at = field.series.find('{').unwrap_or(field.series.len());
+        let (family, labels) = field.series.split_at(labels_at);
+        if family != last_family {
+            let kind = match field.kind {
+                Kind::Counter => "counter",
+                Kind::Gauge | Kind::MaxGauge => "gauge",
+            };
+            header(&mut out, family, kind, field.help);
+            last_family = family;
+        }
+        let _ = writeln!(out, "{family}{labels} {value}");
     }
     let mut histogram = |name: &str, help: &str, series: &[(&str, &HistogramSnapshot)]| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} histogram");
+        header(&mut out, name, "histogram", help);
         for (label, h) in series {
             let sep = if label.is_empty() { "" } else { "," };
             let last_nonzero = h
@@ -1529,7 +1147,7 @@ pub fn prometheus_text(s: &StatsSnapshot) -> String {
                 .unwrap_or(0);
             let mut cum = 0u64;
             for (i, &b) in h.buckets[..last_nonzero].iter().enumerate() {
-                cum += b;
+                cum = cum.saturating_add(b);
                 let le = (1u64 << (i + 1)) - 1;
                 let _ = writeln!(out, "{name}_bucket{{{label}{sep}le=\"{le}\"}} {cum}");
             }
@@ -1581,8 +1199,7 @@ pub fn prometheus_text(s: &StatsSnapshot) -> String {
             ),
         ];
         for (name, help, get) in families {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
+            header(&mut out, name, "counter", help);
             for row in &s.per_scheme {
                 let _ = writeln!(out, "{name}{{scheme=\"{}\"}} {}", row.name, get(row));
             }

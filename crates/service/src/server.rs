@@ -55,9 +55,7 @@
 use crate::cache::{CacheConfig, CacheEntry, CertCache, ProveResult};
 use crate::cluster;
 use crate::gen;
-use crate::metrics::{
-    prometheus_text, Metrics, SchemeStats, SlowLog, SlowLogEntry, StatsSnapshot, Trace,
-};
+use crate::metrics::{prometheus_text, Metrics, SlowLog, SlowLogEntry, StatsSnapshot, Trace};
 use crate::registry::{SchemeEntry, SchemeId, SchemeRegistry};
 use crate::store::{crc32_update, SegmentConfig, SegmentStore, StoreRecord, TieredCache};
 use crate::wire::{self, CheckVerdict, Request, Response, SoundnessLine, WireError};
@@ -2139,32 +2137,14 @@ fn snapshot(shared: &Shared) -> StatsSnapshot {
         .entries()
         .iter()
         .zip(&m.per_scheme)
-        .map(|(e, s)| SchemeStats {
-            id: e.id.0,
-            name: e.name.to_string(),
-            certify: s.certify.load(Ordering::Relaxed),
-            hits: s.hits.load(Ordering::Relaxed),
-            misses: s.misses.load(Ordering::Relaxed),
-            proves: s.proves.load(Ordering::Relaxed),
-            latency: s.latency.snapshot(),
-        })
+        .map(|(e, s)| s.snapshot(e.id.0, e.name))
         .collect();
     StatsSnapshot {
-        certify: m.certify.load(Ordering::Relaxed),
-        check: m.check.load(Ordering::Relaxed),
-        gen: m.gen.load(Ordering::Relaxed),
-        soundness: m.soundness.load(Ordering::Relaxed),
-        stats: m.stats.load(Ordering::Relaxed),
-        errors: m.errors.load(Ordering::Relaxed),
         cache_hits: cache.hits,
         cache_misses: cache.misses,
         cache_evictions: cache.evictions,
         cache_entries: cache.entries,
         cache_bytes: cache.bytes,
-        batches: m.batches.load(Ordering::Relaxed),
-        batched_certifies: m.batched_certifies.load(Ordering::Relaxed),
-        proves: m.proves.load(Ordering::Relaxed),
-        latency: m.latency.snapshot(),
         per_scheme,
         store_hits: store.hits,
         store_misses: store.misses,
@@ -2174,34 +2154,7 @@ fn snapshot(shared: &Shared) -> StatsSnapshot {
         store_bytes: store.live_bytes,
         store_segments: store.segments,
         store_write_errors: tiered.write_errors,
-        conns_open: m.conns_open.load(Ordering::Relaxed),
-        conns_accepted: m.conns_accepted.load(Ordering::Relaxed),
-        accept_eagain: m.accept_eagain.load(Ordering::Relaxed),
-        idle_timeouts: m.idle_timeouts.load(Ordering::Relaxed),
-        stages: m.stages.snapshot(),
-        queue_full_stalls: m.queue_full_stalls.load(Ordering::Relaxed),
-        read_interest_drops: m.read_interest_drops.load(Ordering::Relaxed),
-        read_interest_restores: m.read_interest_restores.load(Ordering::Relaxed),
-        inbox_wakeups: m.inbox_wakeups.load(Ordering::Relaxed),
         queue_depth: shared.queue.len() as u64,
-        repl_push_merged: m.repl_push_merged.load(Ordering::Relaxed),
-        repl_push_duplicates: m.repl_push_duplicates.load(Ordering::Relaxed),
-        repl_pushed: m.repl_pushed.load(Ordering::Relaxed),
-        repl_sweeps: m.repl_sweeps.load(Ordering::Relaxed),
-        repl_errors: m.repl_errors.load(Ordering::Relaxed),
-        chunk_sessions: m.chunk_sessions.load(Ordering::Relaxed),
-        chunk_chunks: m.chunk_chunks.load(Ordering::Relaxed),
-        chunk_bytes: m.chunk_bytes.load(Ordering::Relaxed),
-        chunk_aborts: m.chunk_aborts.load(Ordering::Relaxed),
-        chunk_carry_peak: m.chunk_carry_peak.load(Ordering::Relaxed),
-        delegated_proves: m.delegated_proves.load(Ordering::Relaxed),
-        delegated_errors: m.delegated_errors.load(Ordering::Relaxed),
-        outcome_merges: m.outcome_merges.load(Ordering::Relaxed),
-        audit_sweeps: m.audit_sweeps.load(Ordering::Relaxed),
-        audit_sampled: m.audit_sampled.load(Ordering::Relaxed),
-        audit_failed: m.audit_failed.load(Ordering::Relaxed),
-        audit_quarantined: m.audit_quarantined.load(Ordering::Relaxed),
-        interactive_sessions: m.interactive_sessions.load(Ordering::Relaxed),
-        interactive_rejects: m.interactive_rejects.load(Ordering::Relaxed),
+        ..m.snapshot()
     }
 }
