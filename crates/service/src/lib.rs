@@ -23,11 +23,12 @@
 //!   tier, and [`store::TieredCache`], which runs the LRU cache as a
 //!   hot tier over an optional cold tier (warm restarts, eviction
 //!   demotion, write-behind);
-//! * [`server`] — accept loop, per-connection reader/writer threads,
-//!   and a worker pool that drains a bounded queue, folds concurrent
-//!   same-scheme Certify requests into
-//!   [`dpc_core::batch::BatchRunner`] batches, and streams responses
-//!   back in request order per connection;
+//! * [`server`] — the two connection front ends (an epoll reactor,
+//!   and blocking reader/writer threads where epoll is missing), both
+//!   I/O drivers of one sans-I/O connection core, and a worker pool
+//!   that drains a bounded queue, folds concurrent same-scheme Certify
+//!   requests into [`dpc_core::batch::BatchRunner`] batches, and
+//!   streams responses back in request order per connection;
 //! * [`client`] — a blocking client with request pipelining and one
 //!   options-builder call per verb ([`CertifyOptions`] and friends)
 //!   instead of a method per wire shape;
@@ -79,6 +80,7 @@
 pub mod cache;
 pub mod client;
 pub mod cluster;
+pub(crate) mod conn;
 pub mod gen;
 pub mod loadgen;
 pub mod metrics;

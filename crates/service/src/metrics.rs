@@ -154,7 +154,9 @@ pub const STAGE_NAMES: [&str; 5] = [
     "write_flush",
 ];
 
-/// Lock-free per-stage latency histograms, one per traced stage.
+/// Lock-free per-stage latency histograms, one per traced stage. Only
+/// requests a worker answers are traced, so every stage counts the
+/// same requests as the `latency` histogram.
 #[derive(Debug, Default)]
 pub struct StageMetrics {
     /// Frame bytes available → request decoded.
@@ -234,11 +236,11 @@ impl StageSnapshot {
     }
 }
 
-/// One request's identity and accumulated stage timings, stamped at
-/// decode and threaded along the reply path to the final write.
-/// Microsecond stage fields are filled in as each stage completes;
-/// the reorder/write stages are measured (and the slow-log decision
-/// made) by whichever component performs the write.
+/// One worker-answered request's identity and accumulated stage
+/// timings, stamped at decode and threaded along the reply path to the
+/// final write. Microsecond stage fields are filled in as each stage
+/// completes; the reorder/write stages are measured (and the slow-log
+/// decision made) when the connection writes the response.
 #[derive(Debug, Clone, Copy)]
 pub struct Trace {
     /// `connection_id << 32 | sequence` — unique per request within

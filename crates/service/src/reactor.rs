@@ -1,60 +1,55 @@
-//! The readiness-driven event-loop front end (`dpc serve
-//! --event-loop`, the default where epoll exists).
+//! The readiness-driven event-loop front end, the default where
+//! epoll exists: an I/O driver of the connection core.
 //!
 //! ```text
 //!                      ┌───────────────── reactor loop ─────────────────┐
 //!   TCP ──▶ listener ──▶ accept → register                              │
-//!                      │    epoll_wait ──▶ per-connection state machine │
-//!                      │      read ▶ decode ▶ try_push ──────────┐      │
+//!                      │    epoll_wait ──▶ readiness per connection     │
+//!                      │      read ▶ ConnCore ▶ try_push ────────┐      │
 //!                      │      ▲                                  ▼      │
 //!                      │      │ eventfd wake            bounded queue   │
 //!                      │  completion inbox ◀── reply ──── worker pool   │
 //!                      │      │                          (threads,      │
 //!                      │      ▼                           BatchRunner)  │
-//!                      │  reorder by seq ▶ batched writev flush ──▶ TCP │
+//!                      │  Reorder ▶ batched writev flush ─────────▶ TCP │
 //!                      └────────────────────────────────────────────────┘
 //! ```
 //!
-//! One loop (or a small `--event-loops N` set, loop 0 owning the
-//! listener and dealing new connections round-robin) multiplexes
-//! every connection over a single [`epoll::Epoll`] set. Proving work
-//! never runs on the loop: decoded requests go to the same bounded
-//! [`JobQueue`](crate::server) the threaded front end uses, and
-//! workers hand finished `(conn, seq, body)` triples to the loop's
-//! [`Inbox`], whose eventfd waker is registered in the same epoll
-//! set — the wakeup path from the worker pool is just another
-//! readable fd.
+//! One loop (or a small `ServeConfig::event_loops` set, loop 0 owning
+//! the listener and dealing new connections round-robin) multiplexes
+//! every connection over a single [`epoll::Epoll`] set. The protocol
+//! itself is not here: each connection owns a `ConnCore`, which peels,
+//! numbers, decodes and routes frames, and a `Reorder`, which puts
+//! finished responses back in request order (see the `conn` module).
+//! The reactor only moves bytes and readiness:
 //!
-//! Per-connection state machine (all stages explicit, no thread
-//! parks):
-//!
-//! * **read** — drain the socket into `rbuf` until `EAGAIN` (bounded
-//!   per wakeup so one firehose cannot starve its neighbors);
-//! * **decode** — peel every complete length-prefixed frame: this is
-//!   where pipelining falls out, a single read can yield many
-//!   requests, each tagged with the connection's next sequence
-//!   number;
-//! * **respond** — completions land in a `seq → body` reorder map
-//!   and move to the write queue strictly in sequence order, exactly
-//!   the contract the threaded writer enforces;
-//! * **write** — everything ready is coalesced into one vectored
-//!   (`writev`-style) flush per wakeup; a short write arms
+//! * **read** — drain the socket into the core until `EAGAIN` (bounded
+//!   per wakeup so one firehose cannot starve its neighbors), then take
+//!   every complete frame: answers go straight to the `Reorder`, jobs
+//!   to the same bounded job queue the threaded front end uses;
+//! * **complete** — workers hand finished `(conn, Done)` pairs to the
+//!   loop's [`Inbox`], whose eventfd waker is registered in the same
+//!   epoll set, so the wakeup path from the worker pool is just another
+//!   readable fd;
+//! * **write** — everything the `Reorder` released is coalesced into
+//!   one vectored (`writev`-style) flush per wakeup; a short write arms
 //!   `EPOLLOUT` and the flush resumes when the socket drains.
 //!
-//! Back-pressure: when the job queue is full the decoded job parks in
-//! the connection's `stalled` slot and the loop drops read interest
-//! for that connection — bytes pile up in the kernel socket buffer
-//! and TCP flow control pushes back on the client, mirroring the
-//! blocking `push` of the threaded front end. Idle connections
-//! (no bytes, no responses owed) are reaped after
+//! Back-pressure: when the job queue is full the job parks in the
+//! connection's `stalled` slot and the loop drops read interest for
+//! that connection — bytes pile up in the kernel socket buffer and TCP
+//! flow control pushes back on the client, mirroring the blocking
+//! `push` of the threaded front end. A connection that is not reading
+//! (stalled, half-closed by its peer, or closed by a framing error)
+//! registers neither `EPOLLIN` nor `EPOLLRDHUP`, so a level-triggered
+//! half-close cannot spin the loop; a `HUP` or `ERR` reported for it
+//! closes it, because nothing it owes can be delivered any more. Idle
+//! connections (no bytes, no responses owed) are reaped after
 //! [`ServeConfig::idle_timeout`](crate::ServeConfig).
 
-use crate::metrics::{Metrics, Trace};
-use crate::server::{
-    count_request, duration_us, trace_written, ChunkSessions, ChunkStep, InteractiveSessions,
-    InteractiveStep, Job, ReplyTo, Shared, NEXT_CONN_ID,
-};
-use crate::wire::{self, Request, Response, WireError};
+use crate::conn::{ConnCore, Done, Ready, Reorder, Step, READ_CHUNK};
+use crate::metrics::Metrics;
+use crate::server::{Job, ReplyTo, Shared};
 use epoll::{Epoll, Events, Waker, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -68,10 +63,9 @@ const TOKEN_WAKER: u64 = 0;
 const TOKEN_LISTENER: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
-/// Read granularity, and the per-wakeup read bound (one connection
-/// may consume at most `READ_BURST` chunks per readiness event; the
-/// level-triggered set re-reports it immediately if more is pending).
-const READ_CHUNK: usize = 16 * 1024;
+/// The per-wakeup read bound: one connection may consume at most
+/// `READ_BURST` chunks per readiness event; the level-triggered set
+/// re-reports it immediately if more is pending.
 const READ_BURST: usize = 4;
 
 /// Max frames folded into one vectored flush call.
@@ -80,23 +74,13 @@ const MAX_FLUSH_SLICES: usize = 64;
 /// Events drained per `epoll_wait`.
 const WAIT_BATCH: usize = 1024;
 
-/// One finished response on its way back to a connection.
-pub(crate) struct Completion {
-    pub(crate) conn: u64,
-    pub(crate) seq: u64,
-    pub(crate) body: Vec<u8>,
-    /// When the worker finished building the body (reorder-wait
-    /// starts here).
-    pub(crate) finished: Instant,
-    pub(crate) trace: Option<Trace>,
-}
-
 /// The worker → reactor handoff: completions (and, between loops,
 /// freshly accepted sockets) guarded by a mutex, plus the eventfd
 /// that makes the owning loop's `epoll_wait` return.
 pub(crate) struct Inbox {
     waker: Waker,
-    completions: Mutex<Vec<Completion>>,
+    /// Finished responses, by loop-local connection token.
+    completions: Mutex<Vec<(u64, Done)>>,
     incoming: Mutex<Vec<TcpStream>>,
     /// Counts eventfd wakeups; Arc'd (not reached through `Shared`)
     /// because jobs hold the inbox while `Shared` holds the queue.
@@ -116,16 +100,10 @@ impl Inbox {
     /// Queues a finished response and wakes the loop (only the first
     /// completion after a drain pays the eventfd write — the waker
     /// stays readable until drained, so later sends just append).
-    pub(crate) fn send(&self, conn: u64, seq: u64, body: Vec<u8>, trace: Option<Trace>) {
+    pub(crate) fn send(&self, conn: u64, done: Done) {
         let mut q = self.completions.lock().expect("inbox poisoned");
         let was_empty = q.is_empty();
-        q.push(Completion {
-            conn,
-            seq,
-            body,
-            finished: Instant::now(),
-            trace,
-        });
+        q.push((conn, done));
         drop(q);
         if was_empty {
             self.metrics.inbox_wakeups.fetch_add(1, Ordering::Relaxed);
@@ -199,99 +177,43 @@ enum Close {
     Idle,
 }
 
-/// A frame in the write queue, carrying what its trace still needs:
-/// when it became write-eligible (write-flush starts there) and the
-/// reorder-wait it already paid.
-struct OutFrame {
-    bytes: Vec<u8>,
-    queued_at: Instant,
-    reorder_us: u64,
-    trace: Option<Trace>,
-}
-
 struct Conn {
     stream: TcpStream,
-    /// Trace-id prefix: process-wide connection id (epoll tokens are
-    /// per-loop and collide across loops, so they cannot be it).
-    id: u64,
-    /// Unparsed inbound bytes (`roff..` is live).
-    rbuf: Vec<u8>,
-    roff: usize,
-    /// Sequence number the next decoded request gets.
-    next_seq: u64,
-    /// Sequence number the next written response must carry.
-    next_write: u64,
-    /// Finished responses that arrived out of order.
-    pending: HashMap<u64, Completion>,
-    /// Encoded frames ready to write (front may be partially sent).
-    wqueue: VecDeque<OutFrame>,
+    core: ConnCore,
+    reorder: Reorder,
+    /// Frames ready to write (the front one may be partly sent).
+    wqueue: VecDeque<Ready>,
     woff: usize,
-    /// Decoded job waiting for queue space (connection stops reading
-    /// while set — kernel-buffer back-pressure).
+    /// Job waiting for queue space (the connection stops reading while
+    /// set — kernel-buffer back-pressure).
     stalled: Option<Job>,
-    /// Requests decoded whose responses are not yet in `wqueue`.
-    awaiting: u64,
     /// Read side saw EOF: no new requests, drain what is owed.
     peer_closed: bool,
-    /// Fatal framing error: answer what we can, then drop.
-    closing: bool,
     /// Interest bits currently registered in the epoll set.
     interest: u32,
     last_activity: Instant,
-    /// Chunked-upload reassembly state (at most one open session).
-    chunks: ChunkSessions,
-    /// Interactive-verification state (at most one open session).
-    interactive: InteractiveSessions,
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
+    fn new(stream: TcpStream, reply: ReplyTo) -> Conn {
         Conn {
             stream,
-            id: NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed),
-            rbuf: Vec::new(),
-            roff: 0,
-            next_seq: 0,
-            next_write: 0,
-            pending: HashMap::new(),
+            core: ConnCore::new(reply),
+            reorder: Reorder::default(),
             wqueue: VecDeque::new(),
             woff: 0,
             stalled: None,
-            awaiting: 0,
             peer_closed: false,
-            closing: false,
             interest: EPOLLIN | EPOLLRDHUP,
             last_activity: Instant::now(),
-            chunks: ChunkSessions::default(),
-            interactive: InteractiveSessions::default(),
         }
     }
 
-    /// Files one finished response and promotes every response that
-    /// is now in sequence order into the write queue — the same
-    /// reorder-by-seq contract as the threaded connection writer.
-    /// Promotion is where a response becomes write-eligible, so the
-    /// reorder-wait stage closes here.
-    fn deliver(&mut self, c: Completion, metrics: &Metrics) {
+    /// Files one finished response; whatever is now in request order
+    /// joins the write queue.
+    fn deliver(&mut self, done: Done, metrics: &Metrics) {
         self.last_activity = Instant::now();
-        self.pending.insert(c.seq, c);
-        while let Some(c) = self.pending.remove(&self.next_write) {
-            debug_assert!(c.body.len() <= wire::MAX_FRAME_BYTES);
-            let now = Instant::now();
-            let reorder = now.saturating_duration_since(c.finished);
-            metrics.stages.reorder_wait.record(reorder);
-            let mut bytes = Vec::with_capacity(4 + c.body.len());
-            bytes.extend_from_slice(&(c.body.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&c.body);
-            self.wqueue.push_back(OutFrame {
-                bytes,
-                queued_at: now,
-                reorder_us: duration_us(reorder),
-                trace: c.trace,
-            });
-            self.next_write += 1;
-            self.awaiting -= 1;
-        }
+        self.wqueue.extend(self.reorder.push(done, metrics));
     }
 
     /// One vectored flush: every queued frame (up to
@@ -305,11 +227,11 @@ impl Conn {
                 Vec::with_capacity(self.wqueue.len().min(MAX_FLUSH_SLICES));
             let mut frames = self.wqueue.iter();
             let front = frames.next().expect("non-empty queue");
-            slices.push(IoSlice::new(&front.bytes[self.woff..]));
+            slices.push(IoSlice::new(&front.frame[self.woff..]));
             slices.extend(
                 frames
                     .take(MAX_FLUSH_SLICES - 1)
-                    .map(|f| IoSlice::new(&f.bytes)),
+                    .map(|f| IoSlice::new(&f.frame)),
             );
             match self.stream.write_vectored(&slices) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
@@ -320,21 +242,12 @@ impl Conn {
                             .wqueue
                             .front()
                             .expect("bytes imply a frame")
-                            .bytes
+                            .frame
                             .len()
                             - self.woff;
                         if n >= left {
                             let fr = self.wqueue.pop_front().expect("bytes imply a frame");
-                            let write_flush = fr.queued_at.elapsed();
-                            shared.metrics.stages.write_flush.record(write_flush);
-                            if let Some(trace) = fr.trace {
-                                trace_written(
-                                    shared,
-                                    &trace,
-                                    fr.reorder_us,
-                                    duration_us(write_flush),
-                                );
-                            }
+                            fr.written(shared, fr.at.elapsed());
                             self.woff = 0;
                             n -= left;
                         } else {
@@ -351,24 +264,28 @@ impl Conn {
         Ok(())
     }
 
-    /// Everything owed has been written and no more can arrive.
-    fn drained(&self) -> bool {
-        (self.peer_closed || self.closing)
-            && self.awaiting == 0
-            && self.wqueue.is_empty()
-            && self.stalled.is_none()
+    /// Taking requests off the wire: not stalled, not closed by either
+    /// side.
+    fn reading(&self) -> bool {
+        !self.peer_closed && !self.core.closed() && self.stalled.is_none()
     }
 
-    /// The interest bits this connection's state wants.
+    /// Some request taken off the wire is not answered on it yet.
+    fn owes(&self) -> bool {
+        self.core.seq() != self.reorder.next() || !self.wqueue.is_empty()
+    }
+
+    /// The interest bits this connection's state wants. Read readiness
+    /// (including the peer's half-close) only while reading: otherwise
+    /// a level-triggered `EPOLLRDHUP` would report on every wait.
     fn desired_interest(&self) -> u32 {
-        let mut want = EPOLLRDHUP;
-        if !self.peer_closed && !self.closing && self.stalled.is_none() {
-            want |= EPOLLIN;
-        }
-        if !self.wqueue.is_empty() {
-            want |= EPOLLOUT;
-        }
-        want
+        let read = if self.reading() {
+            EPOLLIN | EPOLLRDHUP
+        } else {
+            0
+        };
+        let write = if self.wqueue.is_empty() { 0 } else { EPOLLOUT };
+        read | write
     }
 }
 
@@ -422,13 +339,18 @@ impl EventLoop {
                     TOKEN_WAKER => wake_ready = true,
                     TOKEN_LISTENER => accept_ready = true,
                     token => {
-                        if ev.readable() && !self.on_readable(token) {
+                        let Some(conn) = self.conns.get(&token) else {
+                            continue;
+                        };
+                        // a connection that is not reading registers no
+                        // read interest, so only HUP or ERR reports it:
+                        // nothing it owes can be delivered any more
+                        let gone = ev.closed() && !conn.reading();
+                        if gone || (ev.readable() && !self.on_readable(token)) {
                             self.close(token, Close::Gone);
                             continue;
                         }
-                        if self.conns.contains_key(&token) {
-                            dirty.push(token);
-                        }
+                        dirty.push(token);
                     }
                 }
             }
@@ -524,10 +446,14 @@ impl EventLoop {
                 .fetch_sub(1, Ordering::Relaxed);
             return;
         }
-        self.conns.insert(token, Conn::new(stream));
+        let reply = ReplyTo::Reactor {
+            conn: token,
+            inbox: Arc::clone(&self.inboxes[self.idx]),
+        };
+        self.conns.insert(token, Conn::new(stream, reply));
     }
 
-    /// Routes finished responses to their connections' reorder maps.
+    /// Routes finished responses to their connections' `Reorder`s.
     fn route_completions(&mut self, dirty: &mut Vec<u64>) {
         let completions = std::mem::take(
             &mut *self.inboxes[self.idx]
@@ -535,29 +461,28 @@ impl EventLoop {
                 .lock()
                 .expect("inbox poisoned"),
         );
-        for c in completions {
+        for (token, done) in completions {
             // a connection that died with requests in flight simply
             // drops its late completions here
-            if let Some(conn) = self.conns.get_mut(&c.conn) {
-                let token = c.conn;
-                conn.deliver(c, &self.shared.metrics);
+            if let Some(conn) = self.conns.get_mut(&token) {
+                conn.deliver(done, &self.shared.metrics);
                 dirty.push(token);
             }
         }
     }
 
-    /// Reads until `EAGAIN` (bounded), then decodes and dispatches
-    /// every complete frame. `false` means the connection broke.
+    /// Reads until `EAGAIN` (bounded), then takes every complete
+    /// frame. `false` means the connection broke.
     fn on_readable(&mut self, token: u64) -> bool {
         let Some(conn) = self.conns.get_mut(&token) else {
             return true;
         };
-        if conn.peer_closed || conn.closing || conn.stalled.is_some() {
+        if !conn.reading() {
             return true;
         }
         let mut chunk = [0u8; READ_CHUNK];
         let mut bursts = 0;
-        loop {
+        while bursts < READ_BURST {
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
                     conn.peer_closed = true;
@@ -565,196 +490,48 @@ impl EventLoop {
                 }
                 Ok(n) => {
                     conn.last_activity = Instant::now();
-                    conn.rbuf.extend_from_slice(&chunk[..n]);
+                    conn.core.feed(&chunk[..n]);
                     bursts += 1;
-                    if bursts >= READ_BURST {
-                        break;
-                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return false,
             }
         }
-        self.decode_frames(token);
+        self.take_frames(token);
         true
     }
 
-    /// Peels complete frames off the read buffer: each one becomes a
-    /// sequence-numbered job for the worker queue (or an immediate
-    /// error response). Stops at a partial frame, a stall, or a
-    /// framing error. This loop *is* request pipelining — nothing
-    /// waits for a response before the next frame is decoded.
-    fn decode_frames(&mut self, token: u64) {
-        let shared = Arc::clone(&self.shared);
-        let inbox = Arc::clone(&self.inboxes[self.idx]);
+    /// Takes every complete frame the core holds: its answers go to
+    /// the reorder stage, its jobs to the worker queue. Stops at a
+    /// partial frame, a stall, or a closed core.
+    fn take_frames(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        while conn.stalled.is_none() && !conn.closing {
-            let avail = conn.rbuf.len() - conn.roff;
-            if avail < 4 {
+        while conn.stalled.is_none() {
+            let Some(step) = conn.core.next(&self.shared) else {
                 break;
-            }
-            let header: [u8; 4] = conn.rbuf[conn.roff..conn.roff + 4]
-                .try_into()
-                .expect("4 bytes");
-            let len = u32::from_le_bytes(header) as usize;
-            if len > wire::MAX_FRAME_BYTES {
-                // same contract as the threaded reader: answer once,
-                // then drop — the stream cannot be resynchronized
-                let msg = WireError::Protocol(format!("frame of {len} bytes exceeds the limit"))
-                    .to_string();
-                shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
-                conn.awaiting += 1;
-                conn.deliver(
-                    Completion {
-                        conn: token,
-                        seq,
-                        body: Response::Error(msg).encode(),
-                        finished: Instant::now(),
-                        trace: None,
-                    },
-                    &shared.metrics,
-                );
-                conn.closing = true;
-                break;
-            }
-            if avail < 4 + len {
-                break;
-            }
-            let body = &conn.rbuf[conn.roff + 4..conn.roff + 4 + len];
-            let seq = conn.next_seq;
-            let decode_start = Instant::now();
-            match Request::decode(body) {
-                Ok(req) => {
-                    // capture the wire kind before the chunk filter
-                    // consumes the request: a certify born from a
-                    // GraphChunkEnd keeps "chunkend" in its trace
-                    let kind = req.kind_tag();
-                    let scheme = req.scheme().map(|s| s.0).unwrap_or(0);
-                    let req = match conn.chunks.step(req, &shared.metrics) {
-                        ChunkStep::Reply(resp) => {
-                            // chunk acks and chunk protocol errors are
-                            // answered on the loop, never queued; they
-                            // still occupy a sequence slot so the
-                            // reorder contract holds
-                            shared.metrics.stats.fetch_add(1, Ordering::Relaxed);
-                            conn.next_seq += 1;
-                            conn.awaiting += 1;
-                            conn.roff += 4 + len;
-                            conn.deliver(
-                                Completion {
-                                    conn: token,
-                                    seq,
-                                    body: resp.encode(),
-                                    finished: Instant::now(),
-                                    trace: None,
-                                },
-                                &shared.metrics,
-                            );
-                            continue;
-                        }
-                        ChunkStep::Pass(req) => match conn.interactive.step(req, &shared) {
-                            // interactive rounds are answered on the
-                            // loop as well, so the session transcript
-                            // is byte-identical to the threaded front
-                            // end's by construction
-                            InteractiveStep::Reply(resp) => {
-                                conn.next_seq += 1;
-                                conn.awaiting += 1;
-                                conn.roff += 4 + len;
-                                conn.deliver(
-                                    Completion {
-                                        conn: token,
-                                        seq,
-                                        body: resp.encode(),
-                                        finished: Instant::now(),
-                                        trace: None,
-                                    },
-                                    &shared.metrics,
-                                );
-                                continue;
-                            }
-                            InteractiveStep::Pass(req) => {
-                                count_request(&shared.metrics, &req);
-                                req
-                            }
-                        },
-                        ChunkStep::Certify {
-                            graph,
-                            bypass_cache,
-                            scheme,
-                        } => {
-                            shared.metrics.certify.fetch_add(1, Ordering::Relaxed);
-                            Request::Certify {
-                                graph,
-                                bypass_cache,
-                                cached_only: false,
-                                summary: true,
-                                scheme,
-                            }
-                        }
-                    };
-                    let read_decode = decode_start.elapsed();
-                    shared.metrics.stages.read_decode.record(read_decode);
-                    let mut trace = Trace::new((conn.id << 32) | (seq & 0xffff_ffff), kind, scheme);
-                    trace.read_decode_us = duration_us(read_decode);
-                    let received = Instant::now();
-                    let job = Job {
-                        req,
-                        seq,
-                        reply: ReplyTo::Reactor {
-                            conn: token,
-                            inbox: Arc::clone(&inbox),
-                        },
-                        received,
-                        dequeued: received,
-                        trace,
-                    };
-                    conn.next_seq += 1;
-                    conn.awaiting += 1;
-                    conn.roff += 4 + len;
-                    if let Err(job) = shared.queue.try_push(job) {
+            };
+            match step {
+                Step::Reply(done) => conn.deliver(done, &self.shared.metrics),
+                Step::Job(job) => {
+                    if let Err(job) = self.shared.queue.try_push(job) {
                         // queue full: park the job, stop reading; the
                         // retry runs on completion wakeups and ticks
-                        let m = &shared.metrics;
+                        let m = &self.shared.metrics;
                         m.queue_full_stalls.fetch_add(1, Ordering::Relaxed);
                         m.read_interest_drops.fetch_add(1, Ordering::Relaxed);
                         conn.stalled = Some(job);
                         self.stalled.push(token);
                     }
                 }
-                Err(e) => {
-                    // request-level decode error: a normal answer on
-                    // a healthy connection (framing is intact)
-                    shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    conn.next_seq += 1;
-                    conn.awaiting += 1;
-                    conn.roff += 4 + len;
-                    conn.deliver(
-                        Completion {
-                            conn: token,
-                            seq,
-                            body: Response::Error(e.to_string()).encode(),
-                            finished: Instant::now(),
-                            trace: None,
-                        },
-                        &shared.metrics,
-                    );
-                }
             }
-        }
-        if conn.roff > 0 {
-            conn.rbuf.drain(..conn.roff);
-            conn.roff = 0;
         }
     }
 
     /// Re-offers stalled jobs to the queue; on success the connection
-    /// resumes decoding right where it stopped.
+    /// resumes taking frames right where it stopped.
     fn retry_stalled(&mut self, dirty: &mut Vec<u64>) {
         if self.stalled.is_empty() {
             return;
@@ -773,7 +550,7 @@ impl EventLoop {
                         .metrics
                         .read_interest_restores
                         .fetch_add(1, Ordering::Relaxed);
-                    self.decode_frames(token);
+                    self.take_frames(token);
                     dirty.push(token);
                 }
                 Err(job) => {
@@ -794,7 +571,8 @@ impl EventLoop {
             self.close(token, Close::Gone);
             return;
         }
-        if conn.drained() {
+        if !conn.reading() && !conn.owes() {
+            // everything owed is written and no more can arrive
             self.close(token, Close::Gone);
             return;
         }
@@ -818,12 +596,7 @@ impl EventLoop {
         let reap: Vec<u64> = self
             .conns
             .iter()
-            .filter(|(_, c)| {
-                c.awaiting == 0
-                    && c.stalled.is_none()
-                    && c.wqueue.is_empty()
-                    && now.duration_since(c.last_activity) >= idle
-            })
+            .filter(|(_, c)| !c.owes() && now.duration_since(c.last_activity) >= idle)
             .map(|(&t, _)| t)
             .collect();
         for token in reap {
@@ -835,8 +608,7 @@ impl EventLoop {
         if let Some(mut conn) = self.conns.remove(&token) {
             let _ = self.epoll.delete(&conn.stream);
             let m = &self.shared.metrics;
-            conn.chunks.abandon(m);
-            conn.interactive.abandon();
+            conn.core.abandon(m);
             m.conns_open.fetch_sub(1, Ordering::Relaxed);
             if matches!(why, Close::Idle) {
                 m.idle_timeouts.fetch_add(1, Ordering::Relaxed);

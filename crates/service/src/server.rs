@@ -1,39 +1,38 @@
 //! The long-running certification server.
 //!
-//! Two interchangeable connection front ends feed one worker pool
-//! (the wire protocol and response bytes are identical under both):
+//! One connection core, two drivers. Everything a connection does
+//! between socket bytes and the worker queue — framing, sequence
+//! numbers, decoding, chunk-upload and interactive sessions, counters
+//! and traces — lives in the I/O-free `conn` module, and so does
+//! putting finished responses back in request order. Two front ends
+//! drive it and feed one worker pool, so the protocol and the response
+//! bytes are the same under both:
 //!
-//! * **event loop** (default where epoll exists; `dpc serve
-//!   --event-loop`): the readiness-driven reactor in the `reactor`
-//!   module — nonblocking sockets, per-connection state machines,
-//!   request pipelining, batched vectored writes. Scales to tens of
-//!   thousands of connections on a handful of threads.
-//! * **threaded** (`dpc serve --threaded`, and the fallback on
-//!   targets without epoll): two threads per connection, shown below.
-//!
-//! Threaded architecture (one box per thread kind):
+//! * **event loop** (the default where epoll exists): the
+//!   readiness-driven reactor in the `reactor` module — nonblocking
+//!   sockets, many connections per thread, batched vectored writes.
+//! * **threaded** (`ServeConfig::event_loop = false`, and always on
+//!   targets without epoll): a blocking reader and a writer thread per
+//!   connection, shown below. The parity tests use it as the reference.
 //!
 //! ```text
 //!                 ┌────────────┐   bounded   ┌──────────────┐
 //!  TCP ──accept──▶│ conn reader │──▶ queue ──▶│ worker pool  │
-//!        thread   │ (per conn)  │  (Condvar)  │  · cache     │
+//!        thread   │ (ConnCore)  │  (Condvar)  │  · cache     │
 //!                 └────────────┘             │  · BatchRunner│
-//!                        │                    └──────┬───────┘
-//!                        ▼                           │ (seq, frame)
-//!                 ┌────────────┐    reorder by seq   │
+//!                        │ core answers       └──────┬───────┘
+//!                        ▼                           │ Done
+//!                 ┌────────────┐                     │
 //!                 │ conn writer │◀────────────────────┘
+//!                 │ (Reorder)   │
 //!                 └────────────┘
 //! ```
 //!
-//! * In threaded mode every connection gets a reader thread (parses
-//!   frames, tags each request with a per-connection sequence
-//!   number, pushes into the shared bounded queue — blocking when
-//!   full, which back-pressures the TCP socket) and a writer thread
-//!   (receives `(seq, frame)` pairs from whichever worker finished,
-//!   reorders, and writes responses in request order). The reactor
-//!   implements the same stages — and the same reorder-by-seq
-//!   contract — as nonblocking state transitions instead of parked
-//!   threads.
+//! * The threaded reader feeds what it reads to its `ConnCore`, pushes
+//!   each job into the shared bounded queue (blocking when full, which
+//!   back-pressures the TCP socket) and sends each answer the core gave
+//!   itself to the writer. The writer files every `Done` with its
+//!   `Reorder` and writes whatever is next in request order.
 //! * Workers drain the queue. A popped Certify request greedily
 //!   collects the other Certify requests currently queued *for the
 //!   same scheme* (up to `batch_max`), resolves the scheme once
@@ -54,27 +53,27 @@
 
 use crate::cache::{CacheConfig, CacheEntry, CertCache, ProveResult};
 use crate::cluster;
+use crate::conn::{ConnCore, Done, Reorder, Step, READ_CHUNK};
 use crate::gen;
 use crate::metrics::{prometheus_text, Metrics, SlowLog, SlowLogEntry, StatsSnapshot, Trace};
 use crate::registry::{SchemeEntry, SchemeId, SchemeRegistry};
-use crate::store::{crc32_update, SegmentConfig, SegmentStore, StoreRecord, TieredCache};
+use crate::store::{SegmentConfig, SegmentStore, StoreRecord, TieredCache};
 use crate::wire::{self, CheckVerdict, Request, Response, SoundnessLine, WireError};
 use dpc_core::adversary::soundness_report;
 use dpc_core::batch::BatchRunner;
 use dpc_core::harness::{certify_pls, Outcome};
-use dpc_core::scheme::{Assignment, ProveError};
+use dpc_core::scheme::ProveError;
 use dpc_graph::canon::hash_bytes;
 use dpc_graph::minors::KuratowskiKind;
 use dpc_graph::Graph;
-use dpc_interactive::dmam::{challenge_from_seed, run_forged, DmamPlanarity};
 use dpc_interactive::fingerprint;
 use dpc_planar::kuratowski::extract_kuratowski;
 use dpc_planar::lr::{planarity, Planarity};
 use dpc_runtime::{get_uvarint, put_uvarint, NodeCtx, Payload};
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::collections::{HashSet, VecDeque};
+use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -97,10 +96,10 @@ pub struct ServeConfig {
     /// cache warm-loads from it on boot, writes behind on insert, and
     /// fsyncs it on graceful shutdown.
     pub store: Option<SegmentConfig>,
-    /// Use the epoll event-loop front end (`--event-loop`). Defaults
-    /// to true where the platform supports it; when false — or when
-    /// epoll is unavailable — connections get the thread-per-
-    /// connection front end (`--threaded`).
+    /// Use the epoll event-loop front end. Defaults to true where the
+    /// platform supports it. False selects the blocking
+    /// thread-per-connection front end, which targets without epoll
+    /// always get and the tests use as the parity reference.
     pub event_loop: bool,
     /// Reactor threads when `event_loop` is set (loop 0 owns the
     /// listener and deals connections round-robin).
@@ -164,20 +163,10 @@ pub(crate) fn duration_us(d: Duration) -> u64 {
     d.as_micros().min(u64::MAX as u128) as u64
 }
 
-/// One finished response on its way to a threaded connection's
-/// writer: the frame body, when the worker finished it (start of the
-/// reorder-wait stage), and the request's trace (`None` for error
-/// responses synthesized outside the worker pool).
-pub(crate) struct Done {
-    pub(crate) seq: u64,
-    pub(crate) body: Vec<u8>,
-    pub(crate) finished: Instant,
-    pub(crate) trace: Option<Trace>,
-}
-
 /// Where a finished response goes: the per-connection writer thread
 /// (threaded front end) or a reactor loop's completion inbox (event
 /// loop). Workers are agnostic — both front ends share the queue.
+#[derive(Clone)]
 pub(crate) enum ReplyTo {
     /// Channel to a threaded connection's writer.
     Channel(mpsc::Sender<Done>),
@@ -191,17 +180,13 @@ pub(crate) enum ReplyTo {
 }
 
 impl ReplyTo {
-    fn send(&self, seq: u64, body: Vec<u8>, trace: Option<Trace>) {
+    fn send(&self, seq: u64, body: Vec<u8>, trace: Trace) {
+        let done = Done::new(seq, body, Some(trace));
         match self {
             // a dead connection just drops the response, same as the
             // reactor routing a completion to a closed token
-            ReplyTo::Channel(tx) => drop(tx.send(Done {
-                seq,
-                body,
-                finished: Instant::now(),
-                trace,
-            })),
-            ReplyTo::Reactor { conn, inbox } => inbox.send(*conn, seq, body, trace),
+            ReplyTo::Channel(tx) => drop(tx.send(done)),
+            ReplyTo::Reactor { conn, inbox } => inbox.send(*conn, done),
         }
     }
 }
@@ -351,36 +336,12 @@ impl Shared {
     }
 }
 
-/// Completes a trace at write time: given the measured reorder-wait
-/// and write-flush, records a slow-log entry if the summed stage time
-/// crossed the threshold. Called by both front ends after the frame
-/// was handed to the kernel.
-pub(crate) fn trace_written(shared: &Shared, trace: &Trace, reorder_us: u64, write_us: u64) {
-    let total_us =
-        trace.read_decode_us + trace.queue_wait_us + trace.service_us + reorder_us + write_us;
-    let threshold = shared.slow.threshold_us();
-    if threshold > 0 && total_us >= threshold {
-        shared.slow.record(SlowLogEntry {
-            trace_id: trace.trace_id,
-            kind: trace.kind,
-            scheme: trace.scheme,
-            age_us: 0,
-            total_us,
-            read_decode_us: trace.read_decode_us,
-            queue_wait_us: trace.queue_wait_us,
-            service_us: trace.service_us,
-            reorder_wait_us: reorder_us,
-            write_flush_us: write_us,
-        });
-    }
-}
-
 /// The error response for a syntactically valid but unregistered
 /// scheme id — a normal answer on a healthy connection, never a
 /// panic or a dropped stream. `count` is the number of requests this
 /// response will answer (a whole certify batch shares one), so the
 /// errors counter tracks error *responses* regardless of batching.
-fn unknown_scheme(shared: &Shared, id: SchemeId, count: u64) -> Response {
+pub(crate) fn unknown_scheme(shared: &Shared, id: SchemeId, count: u64) -> Response {
     shared.metrics.errors.fetch_add(count, Ordering::Relaxed);
     Response::Error(format!(
         "unknown scheme id {id} (this server registers: {})",
@@ -698,181 +659,76 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Process-wide connection counter: the high 32 bits of every trace
-/// id, shared by both front ends so ids stay unique across them.
-pub(crate) static NEXT_CONN_ID: AtomicU64 = AtomicU64::new(1);
-
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    shared
-        .metrics
-        .conns_accepted
-        .fetch_add(1, Ordering::Relaxed);
-    shared.metrics.conns_open.fetch_add(1, Ordering::Relaxed);
-    handle_connection_inner(stream, shared);
-    shared.metrics.conns_open.fetch_sub(1, Ordering::Relaxed);
-}
-
-fn handle_connection_inner(stream: TcpStream, shared: &Arc<Shared>) {
+/// The blocking driver of one connection: this thread reads and feeds
+/// the core, a writer thread puts responses back in order and writes
+/// them.
+fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
+    let m = &shared.metrics;
+    m.conns_accepted.fetch_add(1, Ordering::Relaxed);
+    m.conns_open.fetch_add(1, Ordering::Relaxed);
     let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let conn_id = NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed);
-    let (tx, rx) = mpsc::channel::<Done>();
-    let writer = {
-        let shared = Arc::clone(shared);
-        std::thread::Builder::new()
-            .name("dpc-conn-writer".into())
-            .spawn(move || writer_loop(write_half, rx, &shared))
-            .expect("spawn connection writer")
-    };
-    let local_done = |seq, body| Done {
-        seq,
-        body,
-        finished: Instant::now(),
-        trace: None,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut sessions = ChunkSessions::default();
-    let mut interactive = InteractiveSessions::default();
-    let mut seq = 0u64;
-    loop {
-        let body = match wire::read_frame(&mut reader) {
-            Ok(Some(body)) => body,
-            Ok(None) | Err(WireError::Io(_)) => break,
-            Err(e) => {
-                // framing itself broke (e.g. oversized frame): answer
-                // once and drop the connection, the stream is desynced
-                shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send(local_done(seq, Response::Error(e.to_string()).encode()));
-                break;
-            }
+    if let Ok(write_half) = stream.try_clone() {
+        let (tx, rx) = mpsc::channel::<Done>();
+        let writer = {
+            let shared = Arc::clone(shared);
+            std::thread::Builder::new()
+                .name("dpc-conn-writer".into())
+                .spawn(move || writer_loop(write_half, rx, &shared))
+                .expect("spawn connection writer")
         };
-        let decode_start = Instant::now();
-        let job = match Request::decode(&body) {
-            Ok(req) => {
-                // the trace keeps the original wire kind: a certify
-                // born from a GraphChunkEnd shows up as "chunkend" in
-                // the slow log, which is what the operator sent
-                let kind = req.kind_tag();
-                let scheme = req.scheme().map(|s| s.0).unwrap_or(0);
-                let req = match sessions.step(req, &shared.metrics) {
-                    ChunkStep::Reply(resp) => {
-                        // chunk acks and chunk protocol errors are
-                        // answered at the connection layer; they
-                        // share the stats counter bucket like the
-                        // other maintenance kinds
-                        shared.metrics.stats.fetch_add(1, Ordering::Relaxed);
-                        if tx.send(local_done(seq, resp.encode())).is_err() {
-                            break;
-                        }
-                        seq += 1;
-                        continue;
-                    }
-                    ChunkStep::Pass(req) => match interactive.step(req, shared) {
-                        // interactive rounds are answered at the
-                        // connection layer too: the dMAM verifier is a
-                        // linear scan, and keeping it out of the
-                        // worker pool makes the transcript
-                        // byte-identical across both front ends by
-                        // construction
-                        InteractiveStep::Reply(resp) => {
-                            if tx.send(local_done(seq, resp.encode())).is_err() {
-                                break;
-                            }
-                            seq += 1;
-                            continue;
-                        }
-                        InteractiveStep::Pass(req) => {
-                            count_request(&shared.metrics, &req);
-                            req
-                        }
-                    },
-                    ChunkStep::Certify {
-                        graph,
-                        bypass_cache,
-                        scheme,
-                    } => {
-                        shared.metrics.certify.fetch_add(1, Ordering::Relaxed);
-                        Request::Certify {
-                            graph,
-                            bypass_cache,
-                            cached_only: false,
-                            summary: true,
-                            scheme,
-                        }
-                    }
+        let mut core = ConnCore::new(ReplyTo::Channel(tx.clone()));
+        let mut buf = vec![0u8; READ_CHUNK];
+        'read: while !core.closed() {
+            let n = match stream.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            };
+            core.feed(&buf[..n]);
+            while let Some(step) = core.next(shared) {
+                let handed_on = match step {
+                    Step::Reply(done) => tx.send(done).is_ok(),
+                    // false: the server is shutting down
+                    Step::Job(job) => shared.queue.push(job),
                 };
-                let read_decode = decode_start.elapsed();
-                shared.metrics.stages.read_decode.record(read_decode);
-                let mut trace = Trace::new((conn_id << 32) | (seq & 0xffff_ffff), kind, scheme);
-                trace.read_decode_us = duration_us(read_decode);
-                let received = Instant::now();
-                Job {
-                    req,
-                    seq,
-                    reply: ReplyTo::Channel(tx.clone()),
-                    received,
-                    dequeued: received,
-                    trace,
+                if !handed_on {
+                    break 'read;
                 }
             }
-            Err(e) => {
-                shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                let resp = Response::Error(e.to_string()).encode();
-                if tx.send(local_done(seq, resp)).is_err() {
-                    break;
-                }
-                seq += 1;
-                continue;
-            }
-        };
-        if !shared.queue.push(job) {
-            break; // shutting down
         }
-        seq += 1;
+        core.abandon(m);
+        // the writer exits once every queued job has answered and
+        // dropped its sender
+        drop((core, tx));
+        let _ = writer.join();
     }
-    sessions.abandon(&shared.metrics);
-    interactive.abandon();
-    drop(tx);
-    let _ = writer.join();
+    m.conns_open.fetch_sub(1, Ordering::Relaxed);
 }
 
-/// Receives finished responses in completion order, writes frames in
-/// sequence order — and closes each trace: the gap between a
-/// worker's finish and the in-order write is the reorder-wait stage,
-/// and the write+flush of the burst it rode in is its write-flush
-/// stage (frames flushed together share one measured flush).
-fn writer_loop(stream: TcpStream, rx: mpsc::Receiver<Done>, shared: &Arc<Shared>) {
+/// Receives finished responses in completion order and writes them in
+/// request order. Frames written together share one measured flush,
+/// which closes each traced frame's write-flush stage.
+fn writer_loop(stream: TcpStream, rx: mpsc::Receiver<Done>, shared: &Shared) {
     let mut out = BufWriter::new(stream);
-    let mut next = 0u64;
-    let mut pending: HashMap<u64, Done> = HashMap::new();
+    let mut reorder = Reorder::default();
     for done in rx {
-        pending.insert(done.seq, done);
-        let mut burst: Vec<(Option<Trace>, u64)> = Vec::new();
-        let mut burst_start: Option<Instant> = None;
-        while let Some(d) = pending.remove(&next) {
-            let write_start = Instant::now();
-            burst_start.get_or_insert(write_start);
-            let reorder = write_start.saturating_duration_since(d.finished);
-            shared.metrics.stages.reorder_wait.record(reorder);
-            if wire::write_frame(&mut out, &d.body).is_err() {
+        let mut burst = Vec::new();
+        for ready in reorder.push(done, &shared.metrics) {
+            if out.write_all(&ready.frame).is_err() {
                 return;
             }
-            next += 1;
-            burst.push((d.trace, duration_us(reorder)));
+            burst.push(ready);
         }
-        if let Some(start) = burst_start {
-            if out.flush().is_err() {
-                return;
-            }
-            let write_flush = start.elapsed();
-            for (trace, reorder_us) in burst {
-                shared.metrics.stages.write_flush.record(write_flush);
-                if let Some(trace) = trace {
-                    trace_written(shared, &trace, reorder_us, duration_us(write_flush));
-                }
-            }
+        let Some(start) = burst.first().map(|r| r.at) else {
+            continue;
+        };
+        if out.flush().is_err() {
+            return;
+        }
+        let flush = start.elapsed();
+        for ready in &burst {
+            ready.written(shared, flush);
         }
     }
 }
@@ -895,405 +751,6 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         }
     }
-}
-
-/// Bumps the per-kind request counter. An exhaustive match, so adding
-/// a `Request` variant without deciding its counter fails to compile
-/// instead of silently misattributing it.
-pub(crate) fn count_request(m: &Metrics, req: &Request) {
-    let counter = match req {
-        Request::Certify { .. } => &m.certify,
-        Request::Check { .. } => &m.check,
-        Request::Gen { .. } => &m.gen,
-        Request::SoundnessProbe { .. } => &m.soundness,
-        // introspection and replication-maintenance kinds share the
-        // stats counter — the v2 prefix is frozen, and the v6
-        // replication counters already break StoreList/StorePush
-        // traffic out by what it *did* (merged/duplicate records)
-        Request::Stats | Request::SlowLog | Request::StoreList | Request::StorePush { .. } => {
-            &m.stats
-        }
-        // chunk kinds never reach the queue (the connection layer
-        // intercepts them): Begin/Chunk acks ride the stats bucket at
-        // the interception site, and a completed End is re-counted as
-        // the certify it becomes. These arms only keep the match
-        // exhaustive for the impossible pass-through.
-        Request::GraphChunkBegin { .. }
-        | Request::GraphChunk { .. }
-        | Request::GraphChunkEnd { .. } => &m.stats,
-        // interactive kinds are likewise intercepted at the connection
-        // layer (InteractiveSessions bumps the dedicated session and
-        // reject counters there); Audit is a maintenance kind and
-        // rides the stats bucket with the other introspection requests
-        Request::InteractiveBegin { .. } | Request::InteractiveRespond { .. } => &m.stats,
-        Request::Audit { .. } => &m.stats,
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
-}
-
-/// One open chunked-upload session: the incremental graph decoder
-/// plus the sequencing and integrity state the protocol checks.
-/// Memory here is O(chunk): the decoder holds the graph *index* under
-/// construction and a < 10-byte carry, never the full encoding.
-struct ChunkSession {
-    session: u64,
-    bypass_cache: bool,
-    scheme: SchemeId,
-    decoder: wire::GraphStreamDecoder,
-    /// Chunks accepted so far == the seq the next chunk must carry.
-    received: u64,
-    /// Payload bytes accepted so far.
-    bytes: u64,
-    /// Running CRC-32 state over the whole payload (`!0` initial;
-    /// finalized with a complement at End).
-    crc: u32,
-}
-
-/// What the connection layer does with a decoded request after the
-/// chunk-session filter has seen it.
-pub(crate) enum ChunkStep {
-    /// Not a chunk kind: process it like any other request.
-    Pass(Request),
-    /// Answered right here at the connection layer (chunk acks and
-    /// chunk protocol errors) — never enqueued, so every chunk
-    /// request still consumes exactly one sequence number and yields
-    /// exactly one response, preserving the pipelining contract.
-    Reply(Response),
-    /// A `GraphChunkEnd` closed its session cleanly: enqueue this as
-    /// a summary-mode certify answering the End's sequence number.
-    Certify {
-        /// The reassembled graph.
-        graph: Graph,
-        /// Skip the cache, as requested at Begin.
-        bypass_cache: bool,
-        /// The scheme requested at Begin.
-        scheme: SchemeId,
-    },
-}
-
-/// Per-connection chunk-session tracker (at most one active session —
-/// a second Begin aborts the first, which is also the client's clean
-/// reset path after its own error). Both front ends own one per
-/// connection and run every decoded request through [`step`].
-///
-/// [`step`]: ChunkSessions::step
-#[derive(Default)]
-pub(crate) struct ChunkSessions {
-    active: Option<ChunkSession>,
-}
-
-impl ChunkSessions {
-    /// Kills the active session (if any) with an error response. The
-    /// session dies; the connection — and its sequence numbers —
-    /// survive, so the client can Begin again.
-    fn fail(&mut self, m: &Metrics, msg: String) -> ChunkStep {
-        if self.active.take().is_some() {
-            m.chunk_aborts.fetch_add(1, Ordering::Relaxed);
-        }
-        m.errors.fetch_add(1, Ordering::Relaxed);
-        ChunkStep::Reply(Response::Error(msg))
-    }
-
-    /// Counts an abandoned session when its connection closes (idle
-    /// reap, EOF, or error teardown) with the upload unfinished.
-    pub(crate) fn abandon(&mut self, m: &Metrics) {
-        if self.active.take().is_some() {
-            m.chunk_aborts.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Runs one decoded request through the session state machine.
-    pub(crate) fn step(&mut self, req: Request, m: &Metrics) -> ChunkStep {
-        match req {
-            Request::GraphChunkBegin {
-                session,
-                bypass_cache,
-                scheme,
-            } => {
-                if self.active.take().is_some() {
-                    // a fresh Begin replaces a half-done session:
-                    // this is how a client resets after deciding to
-                    // abandon an upload without reconnecting
-                    m.chunk_aborts.fetch_add(1, Ordering::Relaxed);
-                }
-                m.chunk_sessions.fetch_add(1, Ordering::Relaxed);
-                self.active = Some(ChunkSession {
-                    session,
-                    bypass_cache,
-                    scheme,
-                    decoder: wire::GraphStreamDecoder::new(),
-                    received: 0,
-                    bytes: 0,
-                    crc: !0,
-                });
-                ChunkStep::Reply(Response::ChunkAck {
-                    session,
-                    received: 0,
-                })
-            }
-            Request::GraphChunk {
-                session,
-                seq,
-                payload,
-            } => {
-                let Some(st) = self.active.as_mut() else {
-                    return self.fail(m, "graph chunk outside a chunk session".into());
-                };
-                if st.session != session {
-                    let open = st.session;
-                    return self.fail(
-                        m,
-                        format!("chunk for session {session} but session {open} is open"),
-                    );
-                }
-                if seq != st.received {
-                    // out-of-order, duplicated, or gapped chunk: the
-                    // stream cannot be trusted past this point
-                    let expect = st.received;
-                    return self.fail(
-                        m,
-                        format!("chunk seq {seq} out of order (expected {expect})"),
-                    );
-                }
-                st.crc = crc32_update(st.crc, &payload);
-                st.bytes += payload.len() as u64;
-                st.received += 1;
-                if let Err(e) = st.decoder.feed(&payload) {
-                    return self.fail(m, e.to_string());
-                }
-                m.chunk_chunks.fetch_add(1, Ordering::Relaxed);
-                m.chunk_bytes
-                    .fetch_add(payload.len() as u64, Ordering::Relaxed);
-                m.chunk_carry_peak
-                    .fetch_max(st.decoder.carry_len() as u64, Ordering::Relaxed);
-                ChunkStep::Reply(Response::ChunkAck {
-                    session,
-                    received: st.received,
-                })
-            }
-            Request::GraphChunkEnd {
-                session,
-                total_chunks,
-                total_bytes,
-                crc,
-            } => {
-                let Some(st) = self.active.take() else {
-                    return self.fail(m, "chunk end outside a chunk session".into());
-                };
-                if st.session != session {
-                    m.chunk_aborts.fetch_add(1, Ordering::Relaxed);
-                    m.errors.fetch_add(1, Ordering::Relaxed);
-                    return ChunkStep::Reply(Response::Error(format!(
-                        "chunk end for session {session} but session {} is open",
-                        st.session
-                    )));
-                }
-                if total_chunks != st.received || total_bytes != st.bytes {
-                    m.chunk_aborts.fetch_add(1, Ordering::Relaxed);
-                    m.errors.fetch_add(1, Ordering::Relaxed);
-                    return ChunkStep::Reply(Response::Error(format!(
-                        "chunk totals mismatch: client sent {total_chunks} chunks / \
-                         {total_bytes} bytes, server saw {} / {}",
-                        st.received, st.bytes
-                    )));
-                }
-                if !st.crc != crc {
-                    m.chunk_aborts.fetch_add(1, Ordering::Relaxed);
-                    m.errors.fetch_add(1, Ordering::Relaxed);
-                    return ChunkStep::Reply(Response::Error(
-                        "reassembled graph payload failed its CRC check".into(),
-                    ));
-                }
-                match st.decoder.finish() {
-                    Ok(graph) => ChunkStep::Certify {
-                        graph,
-                        bypass_cache: st.bypass_cache,
-                        scheme: st.scheme,
-                    },
-                    Err(e) => {
-                        m.chunk_aborts.fetch_add(1, Ordering::Relaxed);
-                        m.errors.fetch_add(1, Ordering::Relaxed);
-                        ChunkStep::Reply(Response::Error(e.to_string()))
-                    }
-                }
-            }
-            other => ChunkStep::Pass(other),
-        }
-    }
-}
-
-/// One open interactive-verification session (wire v8): the graph and
-/// Merlin's commitment parked between the `InteractiveBegin` that got
-/// the public coin back and the `InteractiveRespond` that closes the
-/// round.
-struct InteractiveSession {
-    session: u64,
-    challenge: u64,
-    graph: Graph,
-    commit: Assignment,
-}
-
-/// What the connection layer does with a decoded request after the
-/// interactive-session filter has seen it. Mirrors [`ChunkStep`],
-/// minus the enqueue arm: the dMAM verifier is a linear-time scan of
-/// the committed payloads — far below a prove — so both rounds are
-/// answered right here and never visit the worker pool.
-pub(crate) enum InteractiveStep {
-    /// Not an interactive kind: process it like any other request.
-    Pass(Request),
-    /// Answered at the connection layer, consuming exactly one
-    /// sequence number — the same pipelining contract chunk sessions
-    /// keep.
-    Reply(Response),
-}
-
-/// Per-connection interactive-session tracker (at most one active
-/// session — a second Begin replaces the first, which is also the
-/// client's clean reset path). Both front ends own one per connection
-/// and run every decoded request through [`step`] after the chunk
-/// filter.
-///
-/// [`step`]: InteractiveSessions::step
-#[derive(Default)]
-pub(crate) struct InteractiveSessions {
-    active: Option<InteractiveSession>,
-}
-
-impl InteractiveSessions {
-    /// Kills the active session (if any) with an error response; the
-    /// connection — and its sequence numbers — survive.
-    fn fail(&mut self, m: &Metrics, msg: String) -> InteractiveStep {
-        self.active = None;
-        m.errors.fetch_add(1, Ordering::Relaxed);
-        InteractiveStep::Reply(Response::Error(msg))
-    }
-
-    /// Runs one decoded request through the session state machine.
-    pub(crate) fn step(&mut self, req: Request, shared: &Shared) -> InteractiveStep {
-        match req {
-            Request::InteractiveBegin {
-                session,
-                seed,
-                graph,
-                commit,
-                scheme,
-            } => {
-                // a fresh Begin replaces whatever round was half open
-                self.active = None;
-                let Some(entry) = shared.registry.get(scheme) else {
-                    return InteractiveStep::Reply(unknown_scheme(shared, scheme, 1));
-                };
-                if !entry.caps.interactive {
-                    return self.fail(
-                        &shared.metrics,
-                        format!(
-                            "scheme {} does not run interactive sessions \
-                             (the dMAM protocol is defined for planarity)",
-                            entry.name
-                        ),
-                    );
-                }
-                shared
-                    .metrics
-                    .interactive_sessions
-                    .fetch_add(1, Ordering::Relaxed);
-                // Arthur's public coin is a pure function of the seed
-                // the client committed to, so a logged (trace id,
-                // seed) pair replays to the same challenge — and the
-                // same verdict
-                let challenge = challenge_from_seed(seed);
-                self.active = Some(InteractiveSession {
-                    session,
-                    challenge,
-                    graph,
-                    commit,
-                });
-                InteractiveStep::Reply(Response::Challenge { session, challenge })
-            }
-            Request::InteractiveRespond { session, response } => {
-                let Some(st) = self.active.take() else {
-                    return self.fail(
-                        &shared.metrics,
-                        "interactive response outside a session".into(),
-                    );
-                };
-                if st.session != session {
-                    let open = st.session;
-                    return self.fail(
-                        &shared.metrics,
-                        format!(
-                            "interactive response for session {session} \
-                             but session {open} is open"
-                        ),
-                    );
-                }
-                if response.certs.len() != st.graph.node_count() {
-                    return self.fail(
-                        &shared.metrics,
-                        format!(
-                            "response for {} nodes on a {}-node graph",
-                            response.certs.len(),
-                            st.graph.node_count()
-                        ),
-                    );
-                }
-                // contained like any worker handler: a panicking
-                // verifier must never take down a reactor loop
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_forged(
-                        &DmamPlanarity::new(),
-                        &st.graph,
-                        st.challenge,
-                        &st.commit,
-                        &response,
-                    )
-                }));
-                let Ok(outcome) = run else {
-                    return self.fail(
-                        &shared.metrics,
-                        "internal error: the interactive verifier panicked".into(),
-                    );
-                };
-                let accept = outcome.all_accept();
-                if !accept {
-                    shared
-                        .metrics
-                        .interactive_rejects
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                InteractiveStep::Reply(Response::Verdict {
-                    session,
-                    challenge: st.challenge,
-                    accept,
-                    reject_count: outcome.reject_count() as u64,
-                    nodes: st.graph.node_count() as u64,
-                    max_commit_bits: outcome.max_commit_bits as u64,
-                    max_response_bits: outcome.max_response_bits as u64,
-                    soundness_ppm: soundness_ppm(&st.graph),
-                })
-            }
-            other => InteractiveStep::Pass(other),
-        }
-    }
-
-    /// Drops an abandoned session when its connection closes.
-    pub(crate) fn abandon(&mut self) {
-        self.active = None;
-    }
-}
-
-/// The dMAM planarity protocol's per-session soundness bound, in
-/// parts per million. The challenge opens one uniformly random port
-/// per node, so each endpoint of a cheated edge probes it with
-/// probability at least `1/Δ` — a forged proof survives the round
-/// with probability at most `1 − 1/Δ`.
-fn soundness_ppm(g: &Graph) -> u64 {
-    let max_deg = (0..g.node_count() as u32)
-        .map(|v| g.degree(v))
-        .max()
-        .unwrap_or(0)
-        .max(1) as u64;
-    1_000_000 - 1_000_000 / max_deg
 }
 
 /// Records one audit sweep samples (the background cadence; `dpc
@@ -1469,7 +926,7 @@ fn finish(shared: &Shared, job: &Job, body: Vec<u8>) {
     shared.metrics.stages.service.record(service);
     let mut trace = job.trace;
     trace.service_us = duration_us(service);
-    job.reply.send(job.seq, body, Some(trace));
+    job.reply.send(job.seq, body, trace);
 }
 
 /// [`finish`], also recording the scheme's certify latency.
@@ -2035,20 +1492,10 @@ fn process_single_inner(shared: &Arc<Shared>, req: &Request) -> Vec<u8> {
         }
         Request::GraphChunkBegin { .. }
         | Request::GraphChunk { .. }
-        | Request::GraphChunkEnd { .. } => {
-            // chunk frames are intercepted by ChunkSessions at the
-            // connection layer and never reach a worker; answer
-            // cleanly anyway so a future front end that forgets the
-            // interception fails loudly instead of wedging
-            shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            Response::Error("chunk frames are handled at the connection layer".into()).encode()
-        }
-        Request::InteractiveBegin { .. } | Request::InteractiveRespond { .. } => {
-            // same containment for the interactive kinds, intercepted
-            // by InteractiveSessions at the connection layer
-            shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            Response::Error("interactive frames are handled at the connection layer".into())
-                .encode()
+        | Request::GraphChunkEnd { .. }
+        | Request::InteractiveBegin { .. }
+        | Request::InteractiveRespond { .. } => {
+            unreachable!("the connection core answers chunk and interactive frames")
         }
     }
 }

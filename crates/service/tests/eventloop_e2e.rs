@@ -67,11 +67,11 @@ proptest! {
     /// Dribbling a request in with pathological chunking (down to one
     /// byte per write, with flushes in between) and draining the
     /// response one byte at a time yields exactly the bytes a
-    /// well-behaved client gets: the reactor's frame accumulator
-    /// cannot care how the bytes arrive.
+    /// well-behaved client gets, on either front end: the connection
+    /// core's frame accumulator cannot care how the bytes arrive.
     #[test]
-    fn partial_io_is_byte_identical(chunk in 1usize..5, which in 0usize..3) {
-        let handle = server(true);
+    fn partial_io_is_byte_identical(chunk in 1usize..5, which in 0usize..3, front in 0usize..2) {
+        let handle = server(front == 0);
         let graphs = [generators::grid(4, 4), generators::cycle(6), generators::complete(4)];
         let body = wire::encode_certify_request(&graphs[which], true, dpc_service::SchemeId::PLANARITY);
         let bytes = frame(&body);
@@ -356,4 +356,150 @@ fn chunked_upload_frames_are_byte_identical_across_front_ends() {
         transcripts[0], transcripts[1],
         "front ends disagree on chunk-stream response bytes"
     );
+}
+
+/// Reactor CPU while a half-closed client is still owed responses.
+///
+/// A client that shuts its write half makes level-triggered epoll
+/// report `EPOLLRDHUP` on every wait for as long as the connection
+/// registers it. These tests half-close while a slow prove is in
+/// flight and require the reactor threads to sleep through it (under
+/// half of the wall time, against all of it when the loop spins), and
+/// the client to still read every response it is owed.
+#[cfg(target_os = "linux")]
+mod half_close {
+    use super::*;
+    use std::net::Shutdown;
+    use std::time::Instant;
+
+    /// `/proc/<pid>/stat` times are in `USER_HZ` ticks, 100 per second
+    /// on every architecture this service targets.
+    const TICKS_PER_SEC: f64 = 100.0;
+
+    /// Thread ids of this process's reactor loops.
+    fn reactor_tids() -> Vec<String> {
+        std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|tid| {
+                std::fs::read_to_string(format!("/proc/self/task/{tid}/comm"))
+                    .is_ok_and(|comm| comm.starts_with("dpc-reactor-"))
+            })
+            .collect()
+    }
+
+    /// User plus system ticks the threads `tids` have run so far.
+    fn cpu_ticks(tids: &[String]) -> u64 {
+        tids.iter()
+            .filter_map(|tid| std::fs::read_to_string(format!("/proc/self/task/{tid}/stat")).ok())
+            .map(|stat| {
+                // fields after the parenthesized name start at `state`,
+                // so utime and stime are the 12th and 13th
+                let rest = &stat[stat.rfind(')').unwrap() + 1..];
+                let fields: Vec<&str> = rest.split_whitespace().collect();
+                fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap()
+            })
+            .sum()
+    }
+
+    /// Starts an event-loop server, writes `bodies` as one burst,
+    /// half-closes, and reads every response. Returns the reactor
+    /// ticks and the wall time from the half-close to the last
+    /// response, plus the decoded responses.
+    fn half_close_after(cfg: ServeConfig, bodies: &[Vec<u8>]) -> (f64, f64, Vec<Response>) {
+        let before = reactor_tids();
+        let handle = serve("127.0.0.1:0", cfg).expect("bind loopback");
+        // a thread names itself once it runs, so wait for the name
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let ours = loop {
+            let new: Vec<String> = reactor_tids()
+                .into_iter()
+                .filter(|tid| !before.contains(tid))
+                .collect();
+            if !new.is_empty() {
+                break new;
+            }
+            assert!(Instant::now() < deadline, "no reactor thread started");
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        let mut s = TcpStream::connect(handle.addr()).unwrap();
+        let burst: Vec<u8> = bodies.iter().flat_map(|b| frame(b)).collect();
+        s.write_all(&burst).unwrap();
+        s.shutdown(Shutdown::Write).unwrap();
+        let (ticks0, start) = (cpu_ticks(&ours), Instant::now());
+        let frames = read_frames(&mut s, bodies.len());
+        let ticks = (cpu_ticks(&ours) - ticks0) as f64;
+        let wall = start.elapsed().as_secs_f64() * TICKS_PER_SEC;
+        // everything owed arrived; then the server closes its side
+        let mut rest = Vec::new();
+        s.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "bytes after the last owed response");
+        handle.shutdown();
+        let responses = frames
+            .iter()
+            .map(|f| Response::decode(&f[4..]).unwrap())
+            .collect();
+        (ticks, wall, responses)
+    }
+
+    /// A certify slow enough to keep a response owed for a while.
+    fn slow_certify() -> Vec<u8> {
+        let g = generators::grid(140, 140);
+        wire::encode_certify_request(&g, true, dpc_service::SchemeId::PLANARITY)
+    }
+
+    /// Requires the reactor to have slept through the wait.
+    fn assert_quiet(ticks: f64, wall: f64, case: &str) {
+        assert!(
+            ticks * 2.0 < wall,
+            "{case}: the reactor ran {ticks} of {wall:.0} ticks while a half-closed client waited"
+        );
+    }
+
+    /// Both cases in one test, one after the other: two provers and two
+    /// spinning loops at once would share the cores and blur the
+    /// measurement.
+    #[test]
+    fn half_closed_clients_do_not_spin_the_loop() {
+        // a prove in flight
+        let cfg = ServeConfig {
+            event_loop: true,
+            ..ServeConfig::default()
+        };
+        let (ticks, wall, responses) = half_close_after(cfg, &[slow_certify()]);
+        assert!(
+            matches!(responses[..], [Response::Certified { cached: false, .. }]),
+            "{responses:?}"
+        );
+        assert_quiet(ticks, wall, "prove in flight");
+
+        // a queue-full stall: one worker busy proving and a one-slot
+        // queue, so the small requests behind the prove park the
+        // connection
+        let cfg = ServeConfig {
+            event_loop: true,
+            workers: 1,
+            queue_capacity: 1,
+            ..ServeConfig::default()
+        };
+        let mut bodies = vec![slow_certify()];
+        for n in 2..6 {
+            bodies.push(wire::encode_gen_request(
+                "grid",
+                n,
+                1,
+                dpc_service::SchemeId::PLANARITY,
+            ));
+        }
+        let (ticks, wall, responses) = half_close_after(cfg, &bodies);
+        assert!(matches!(responses[0], Response::Certified { .. }));
+        assert!(
+            responses[1..]
+                .iter()
+                .all(|r| matches!(r, Response::Generated(_))),
+            "{responses:?}"
+        );
+        assert_quiet(ticks, wall, "queue-full stall");
+    }
 }

@@ -1,7 +1,10 @@
 //! End-to-end tests of the tracing plane: per-stage histograms, the
 //! slow-request log, and the Prometheus scrape endpoint.
 
-use dpc_service::{CheckOptions, Client, ServeConfig, ServerHandle, StatsSnapshot};
+use dpc_service::{
+    CertifyOptions, CheckOptions, Client, InteractiveOptions, Response, ServeConfig, ServerHandle,
+    StatsSnapshot,
+};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -29,9 +32,12 @@ fn stage_counts(s: &StatsSnapshot) -> Vec<(&'static str, u64)> {
         .collect()
 }
 
-/// The sum property behind WIRE.md §5.3: every request whose response
-/// has been fully written contributes exactly one observation to
-/// every stage histogram — none double-counted, none skipped.
+/// The sum property behind WIRE.md §5.3: every request a worker
+/// answers contributes exactly one observation to every stage
+/// histogram, once its response has been fully written — none
+/// double-counted, none skipped. Frames the connection layer answers
+/// itself (a malformed body, chunk acks, interactive rounds) stay out
+/// of all five, so each stage count equals the `latency` count.
 fn stage_counts_sum_to_completed_requests(event_loop: bool) {
     let handle = serve(ServeConfig {
         event_loop,
@@ -55,21 +61,36 @@ fn stage_counts_sum_to_completed_requests(event_loop: bool) {
             }
         }
     }
+    // answered at the connection layer: a malformed body, an
+    // interactive round, and a chunk upload's Begin and chunk acks;
+    // the upload's End becomes a certify a worker answers
+    client.send_body(&[0xff, 0xff, 0xff]).unwrap();
+    assert!(matches!(client.recv().unwrap(), Response::Error(_)));
+    let verdict = client
+        .interactive(&g, InteractiveOptions::new().seed(3))
+        .unwrap();
+    assert!(matches!(verdict, Response::Verdict { accept: true, .. }));
+    let tri = dpc_graph::generators::stacked_triangulation(30, 2);
+    let summary = client
+        .certify(&tri, CertifyOptions::new().chunked(64))
+        .unwrap();
+    assert!(matches!(summary, Response::CertifiedSummary { .. }));
+    let answered = requests + 1;
     wait_for(
         || {
             let s = handle.stats();
-            stage_counts(&s).iter().all(|&(_, c)| c == requests)
+            s.latency.count() == answered && stage_counts(&s).iter().all(|&(_, c)| c == answered)
         },
-        "every stage count to reach the request count",
+        "every stage count to reach the worker-answered request count",
     );
     let s = handle.stats();
     for (name, count) in stage_counts(&s) {
-        assert_eq!(count, requests, "stage {name} count");
+        assert_eq!(count, s.latency.count(), "stage {name} count");
     }
     // the queue-wait and write-flush histograms are the acceptance
     // gate for "tracing is actually populated"
-    assert_eq!(s.stages.queue_wait.count(), requests);
-    assert_eq!(s.stages.write_flush.count(), requests);
+    assert_eq!(s.stages.queue_wait.count(), answered);
+    assert_eq!(s.stages.write_flush.count(), answered);
     handle.shutdown();
 }
 

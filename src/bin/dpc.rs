@@ -16,15 +16,15 @@
 //!                           certificate bounds, capabilities)
 //! dpc serve <addr> [workers] [cache-mb] [--schemes a,b,c]
 //!           [--store-dir <path>] [--store-budget-bytes <n>]
-//!           [--event-loop|--threaded] [--event-loops <n>]
-//!           [--prove-threads <n>] [--idle-timeout-ms <n>]
+//!           [--event-loops <n>] [--prove-threads <n>]
+//!           [--idle-timeout-ms <n>]
 //!           [--metrics-addr <addr>] [--slow-ms <n>] [--audit]
 //!                           long-running service (default: all
 //!                           schemes, no persistence); with a store
 //!                           dir the certificate cache survives
-//!                           restarts. The front end defaults to the
-//!                           epoll event loop on Linux; --threaded
-//!                           restores thread-per-connection.
+//!                           restarts. The front end is the epoll
+//!                           event loop where epoll exists, else
+//!                           thread-per-connection.
 //!                           --metrics-addr serves Prometheus text
 //!                           over plain HTTP GET /metrics; --slow-ms
 //!                           sets the slow-request log threshold
@@ -100,12 +100,12 @@
 //!                           and the JSON reports nodes used, delegated
 //!                           proves, merge time, and the speedup
 //! dpc bench-serve <addr>|self --connections N[,N...]
-//!                 [--requests-per-conn <k>] [--threaded|--event-loop]
+//!                 [--requests-per-conn <k>]
 //!                           connection-storm mode: hold N concurrent
 //!                           connections, pipeline k requests down
 //!                           each, report an rps-vs-connections curve
 //!                           (one JSON line); `self` spawns the server
-//!                           in-process with the chosen front end
+//!                           in-process
 //! ```
 
 use dpc::core::harness::run_pls;
@@ -181,7 +181,7 @@ fn usage() -> String {
      dpc gen <family> <n> [seed]  |  dpc schemes  |  \
      dpc serve <addr> [workers] [cache-mb] [--schemes a,b,c] \
      [--store-dir <path>] [--store-budget-bytes <n>] [--peers a,b,c] \
-     [--event-loop|--threaded] [--event-loops <n>] [--prove-threads <n>] \
+     [--event-loops <n>] [--prove-threads <n>] \
      [--idle-timeout-ms <n>] [--metrics-addr <addr>] [--slow-ms <n>] [--audit]  |  \
      dpc store stat|compact|verify|corrupt <dir>  |  \
      dpc store merge <dst> <src...>  |  \
@@ -193,8 +193,7 @@ fn usage() -> String {
      dpc top <addr>|--nodes a,b,c [--once] [--interval-ms <n>] [--wait-ms <n>]  |  \
      dpc bench-serve <addr>|self|--nodes a,b,c [hits] [side] \
      [--graph grid:RxC|gnm:N:M|tri:N] [--distributed [count]] \
-     [--replication <k>] [--connections N[,N...] [--requests-per-conn <k>] \
-     [--threaded|--event-loop]]"
+     [--replication <k>] [--connections N[,N...] [--requests-per-conn <k>]]"
         .to_string()
 }
 
@@ -437,6 +436,15 @@ fn soundness_table(rows: impl Iterator<Item = (String, Option<u64>)>) -> String 
 // ---------------------------------------------------------------------------
 // Service subcommands.
 
+/// The connection front end a default server runs here.
+fn front_end() -> &'static str {
+    if epoll::supported() {
+        "event-loop"
+    } else {
+        "threaded"
+    }
+}
+
 fn serve_cmd(addr: &str, rest: &[&str]) -> Result<String, String> {
     let mut cfg = ServeConfig::default();
     let mut registry = SchemeRegistry::standard();
@@ -470,8 +478,6 @@ fn serve_cmd(addr: &str, rest: &[&str]) -> Result<String, String> {
                         .map_err(|_| "store-budget-bytes must be a number".to_string())?,
                 );
             }
-            "--event-loop" => cfg.event_loop = true,
-            "--threaded" => cfg.event_loop = false,
             "--audit" => cfg.audit = true,
             "--event-loops" => {
                 cfg.event_loops = value("--event-loops")?
@@ -540,11 +546,7 @@ fn serve_cmd(addr: &str, rest: &[&str]) -> Result<String, String> {
         "serve",
         "listening on {} ({}, {} workers, {} prove threads, {} MiB cache, batch {} max, store: {}, schemes: {})",
         handle.addr(),
-        if cfg.event_loop && epoll::supported() {
-            "event-loop"
-        } else {
-            "threaded"
-        },
+        front_end(),
         cfg.workers,
         cfg.prove_threads,
         cfg.cache.byte_budget >> 20,
@@ -1547,9 +1549,6 @@ fn bench_serve_cmd(rest: &[&str]) -> Result<String, String> {
         .transpose()?
         .unwrap_or(4)
         .max(1);
-    let threaded = args.contains(&"--threaded");
-    let mode_flagged = threaded || args.contains(&"--event-loop");
-    args.retain(|&a| a != "--threaded" && a != "--event-loop");
     let endpoint = if distributed && !args.iter().any(|a| !a.starts_with("--")) {
         // --distributed may legally arrive with no positional at all
         // (count defaults); resolve flags only, then demand the ring
@@ -1583,14 +1582,7 @@ fn bench_serve_cmd(rest: &[&str]) -> Result<String, String> {
                     .map_err(|_| format!("bad connection count {t:?}"))
             })
             .collect::<Result<_, _>>()?;
-        return bench_storm(
-            &addr,
-            &counts,
-            per_conn,
-            threaded,
-            mode_flagged,
-            endpoint.wait,
-        );
+        return bench_storm(&addr, &counts, per_conn, endpoint.wait);
     }
     if distributed {
         if !endpoint.is_ring() {
@@ -1770,18 +1762,13 @@ fn bench_single(
 /// Connection-storm mode (`--connections N[,N...]`): for each count,
 /// hold that many concurrent connections and pipeline
 /// `--requests-per-conn` certify requests down each, reporting an
-/// rps-vs-connections curve. `self` spawns the in-process server with
-/// the chosen front end (`--threaded` vs the event-loop default), so
-/// the two can be compared like for like; against a remote address
-/// the flag only labels the JSON (`mode`) — the server's front end is
-/// whatever it was started with, and without a flag the label is
-/// `"remote"`.
+/// rps-vs-connections curve. `self` spawns the in-process server, and
+/// the JSON's `mode` names its front end; against a remote address the
+/// mode is `"remote"`.
 fn bench_storm(
     addr: &str,
     counts: &[usize],
     per_conn: usize,
-    threaded: bool,
-    mode_flagged: bool,
     wait: Option<Duration>,
 ) -> Result<String, String> {
     use dpc_service::loadgen::{storm, StormConfig};
@@ -1789,23 +1776,15 @@ fn bench_storm(
         return Err("--connections needs at least one count".to_string());
     }
     let own_server = if addr == "self" {
-        let cfg = ServeConfig {
-            event_loop: !threaded,
-            ..ServeConfig::default()
-        };
         Some(
-            dpc_service::serve("127.0.0.1:0", cfg)
+            dpc_service::serve("127.0.0.1:0", ServeConfig::default())
                 .map_err(|e| format!("cannot bind loopback: {e}"))?,
         )
     } else {
         None
     };
-    let mode = if own_server.is_some() || mode_flagged {
-        if threaded {
-            "threaded"
-        } else {
-            "event-loop"
-        }
+    let mode = if own_server.is_some() {
+        front_end()
     } else {
         "remote"
     };
