@@ -29,7 +29,7 @@
 use crate::metrics::{SlowLogEntry, StatsSnapshot};
 use crate::registry::SchemeId;
 use crate::store::StoreRecord;
-use crate::wire::{self, Request, Response, WireError};
+use crate::wire::{self, Request, RequestRef, Response, WireError};
 use dpc_graph::Graph;
 use dpc_interactive::dmam::{DmamPlanarity, DmamProtocol};
 use std::io::{self, BufReader, BufWriter, Write};
@@ -96,6 +96,18 @@ impl CertifyOptions {
     pub fn chunked(mut self, chunk_bytes: usize) -> CertifyOptions {
         self.chunked = Some(chunk_bytes);
         self
+    }
+
+    /// The single-frame Certify request these options send for
+    /// `graph`; `cached_only` overrides `bypass` and `summary`.
+    pub(crate) fn request<'a>(&self, graph: &'a Graph) -> RequestRef<'a> {
+        RequestRef::Certify {
+            bypass_cache: self.bypass && !self.cached_only,
+            cached_only: self.cached_only,
+            summary: self.summary && !self.cached_only,
+            graph,
+            scheme: self.scheme,
+        }
     }
 }
 
@@ -325,8 +337,9 @@ impl Client {
         self.send_body(&req.encode())
     }
 
-    /// Sends a pre-encoded frame body (see the `wire::encode_*_request`
-    /// helpers) without waiting. Pair with [`Client::recv`].
+    /// Sends a pre-encoded frame body without waiting: a
+    /// [`RequestRef::encode`], which borrows instead of cloning, or bytes
+    /// no request encodes to. Pair with [`Client::recv`].
     pub fn send_body(&mut self, body: &[u8]) -> Result<(), WireError> {
         wire::write_frame(&mut self.writer, body)?;
         self.writer.flush()?;
@@ -375,21 +388,7 @@ impl Client {
         if let Some(chunk_bytes) = opts.chunked {
             return self.certify_via_chunks(graph, opts.bypass, opts.scheme, chunk_bytes);
         }
-        if opts.cached_only {
-            return self.call_body(&wire::encode_certify_probe_request(graph, opts.scheme));
-        }
-        if opts.summary {
-            return self.call_body(&wire::encode_certify_summary_request(
-                graph,
-                opts.bypass,
-                opts.scheme,
-            ));
-        }
-        self.call_body(&wire::encode_certify_request(
-            graph,
-            opts.bypass,
-            opts.scheme,
-        ))
+        self.call_body(&opts.request(graph).encode())
     }
 
     /// The chunked certify transport (`CertifyOptions::chunked`):
@@ -415,22 +414,35 @@ impl Client {
         let mut payload = Vec::new();
         wire::encode_graph(&mut payload, graph);
         let session = NEXT_CHUNK_SESSION.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.send_body(&wire::encode_chunk_begin_request(
-            session,
-            bypass_cache,
-            scheme,
-        ))?;
+        self.send_body(
+            &RequestRef::GraphChunkBegin {
+                session,
+                bypass_cache,
+                scheme,
+            }
+            .encode(),
+        )?;
         let mut chunks = 0u64;
         for piece in payload.chunks(chunk_bytes) {
-            self.send_body(&wire::encode_chunk_request(session, chunks, piece))?;
+            self.send_body(
+                &RequestRef::GraphChunk {
+                    session,
+                    seq: chunks,
+                    payload: piece,
+                }
+                .encode(),
+            )?;
             chunks += 1;
         }
-        self.send_body(&wire::encode_chunk_end_request(
-            session,
-            chunks,
-            payload.len() as u64,
-            crate::store::crc32(&payload),
-        ))?;
+        self.send_body(
+            &RequestRef::GraphChunkEnd {
+                session,
+                total_chunks: chunks,
+                total_bytes: payload.len() as u64,
+                crc: crate::store::crc32(&payload),
+            }
+            .encode(),
+        )?;
         // the Begin ack plus one ack per chunk, in order
         for expect in 0..=chunks {
             match self.recv()? {
@@ -458,7 +470,13 @@ impl Client {
         opts: impl Into<CheckOptions>,
     ) -> Result<Response, WireError> {
         let opts = opts.into();
-        self.call_body(&wire::encode_check_request(graph, opts.scheme))
+        self.call_body(
+            &RequestRef::Check {
+                graph,
+                scheme: opts.scheme,
+            }
+            .encode(),
+        )
     }
 
     /// Server-side graph generation.
@@ -470,7 +488,15 @@ impl Client {
         opts: impl Into<GenOptions>,
     ) -> Result<Graph, WireError> {
         let opts = opts.into();
-        match self.call_body(&wire::encode_gen_request(family, n, seed, opts.scheme))? {
+        match self.call_body(
+            &RequestRef::Gen {
+                family,
+                n,
+                seed,
+                scheme: opts.scheme,
+            }
+            .encode(),
+        )? {
             Response::Generated(g) => Ok(g),
             Response::Error(e) => Err(WireError::Protocol(e)),
             other => Err(WireError::Protocol(format!(
@@ -488,11 +514,14 @@ impl Client {
         opts: impl Into<SoundnessOptions>,
     ) -> Result<Response, WireError> {
         let opts = opts.into();
-        self.call_body(&wire::encode_soundness_request(
-            graph,
-            opts.seed,
-            opts.scheme,
-        ))
+        self.call_body(
+            &RequestRef::SoundnessProbe {
+                seed: opts.seed,
+                graph,
+                scheme: opts.scheme,
+            }
+            .encode(),
+        )
     }
 
     /// Runs one full interactive-certification session (wire v8) and
@@ -514,13 +543,14 @@ impl Client {
             .commit(graph)
             .map_err(|e| WireError::Protocol(format!("cannot open an interactive session: {e}")))?;
         let session = NEXT_CHUNK_SESSION.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let challenge = match self.call_body(&wire::encode_interactive_begin_request(
+        let begin = RequestRef::InteractiveBegin {
             session,
-            opts.seed,
+            seed: opts.seed,
             graph,
-            &commit,
-            opts.scheme,
-        ))? {
+            commit: &commit,
+            scheme: opts.scheme,
+        };
+        let challenge = match self.call_body(&begin.encode())? {
             Response::Challenge {
                 session: s,
                 challenge,
@@ -533,9 +563,13 @@ impl Client {
             }
         };
         let response = proto.respond(graph, &commit, challenge);
-        self.call_body(&wire::encode_interactive_respond_request(
-            session, &response,
-        ))
+        self.call_body(
+            &RequestRef::InteractiveRespond {
+                session,
+                response: &response,
+            }
+            .encode(),
+        )
     }
 
     /// Triggers one on-demand audit pass on the server and returns
@@ -544,12 +578,18 @@ impl Client {
     /// and seed.
     pub fn audit(&mut self, opts: impl Into<AuditOptions>) -> Result<Response, WireError> {
         let opts = opts.into();
-        self.call_body(&wire::encode_audit_request(opts.samples, opts.seed))
+        self.call_body(
+            &RequestRef::Audit {
+                samples: opts.samples,
+                seed: opts.seed,
+            }
+            .encode(),
+        )
     }
 
     /// Server counters.
     pub fn stats(&mut self) -> Result<StatsSnapshot, WireError> {
-        match self.call_body(&wire::encode_stats_request())? {
+        match self.call_body(&RequestRef::Stats.encode())? {
             Response::Stats(s) => Ok(*s),
             Response::Error(e) => Err(WireError::Protocol(e)),
             other => Err(WireError::Protocol(format!(
@@ -561,7 +601,7 @@ impl Client {
     /// The server's slow-request log, newest first (requests whose
     /// end-to-end latency crossed its `--slow-ms` threshold).
     pub fn slowlog(&mut self) -> Result<Vec<SlowLogEntry>, WireError> {
-        match self.call_body(&wire::encode_slowlog_request())? {
+        match self.call_body(&RequestRef::SlowLog.encode())? {
             Response::SlowLog(entries) => Ok(entries),
             Response::Error(e) => Err(WireError::Protocol(e)),
             other => Err(WireError::Protocol(format!(
@@ -573,7 +613,7 @@ impl Client {
     /// The server's store content-key digests — the cheap half of an
     /// anti-entropy exchange (see [`Client::store_push`]).
     pub fn store_list(&mut self) -> Result<Vec<u128>, WireError> {
-        match self.call_body(&wire::encode_store_list_request())? {
+        match self.call_body(&RequestRef::StoreList.encode())? {
             Response::StoreKeys(keys) => Ok(keys),
             Response::Error(e) => Err(WireError::Protocol(e)),
             other => Err(WireError::Protocol(format!(
@@ -587,7 +627,7 @@ impl Client {
     /// already held. Replica writes, read-repair, and the anti-entropy
     /// sweep all funnel through this one request kind.
     pub fn store_push(&mut self, records: &[StoreRecord]) -> Result<(u64, u64), WireError> {
-        match self.call_body(&wire::encode_store_push_request(records))? {
+        match self.call_body(&RequestRef::StorePush { records }.encode())? {
             Response::StorePushed { merged, duplicates } => Ok((merged, duplicates)),
             Response::Error(e) => Err(WireError::Protocol(e)),
             other => Err(WireError::Protocol(format!(

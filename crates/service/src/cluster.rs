@@ -46,7 +46,7 @@ use crate::client::{
 use crate::metrics::{SlowLogEntry, StatsSnapshot};
 use crate::registry::SchemeId;
 use crate::store::{RecordKind, StoreRecord};
-use crate::wire::{self, Response, WireError};
+use crate::wire::{self, RequestRef, Response, WireError};
 use dpc_core::batch::BatchSummary;
 use dpc_core::harness::Outcome;
 use dpc_graph::canon;
@@ -472,26 +472,11 @@ impl ClusterClient {
                     .to_string(),
             ));
         }
-        let key = graph_key(opts.scheme, graph);
-        if opts.cached_only {
-            return self.route(
-                &key,
-                &wire::encode_certify_probe_request(graph, opts.scheme),
-            );
-        }
-        if opts.summary {
-            return self.route(
-                &key,
-                &wire::encode_certify_summary_request(graph, opts.bypass, opts.scheme),
-            );
-        }
-        if self.replication > 1 && !opts.bypass {
+        if self.replication > 1 && !(opts.bypass || opts.cached_only || opts.summary) {
             return self.certify_replicated(graph, opts.scheme);
         }
-        self.route(
-            &key,
-            &wire::encode_certify_request(graph, opts.bypass, opts.scheme),
-        )
+        let key = graph_key(opts.scheme, graph);
+        self.route(&key, &opts.request(graph).encode())
     }
 
     /// The k>1 certify path: walk the top-k replicas with cached-only
@@ -507,7 +492,8 @@ impl ClusterClient {
         let key = graph_key(scheme, graph);
         let ranked = self.ring.rank(&key);
         let replicas: Vec<usize> = ranked[..self.replication.min(ranked.len())].to_vec();
-        let probe = wire::encode_certify_probe_request(graph, scheme);
+        let opts = CertifyOptions::new().scheme(scheme);
+        let probe = opts.cached_only().request(graph).encode();
         let mut hops = 0u64;
         let mut missed: Vec<usize> = Vec::new();
         for &idx in &replicas {
@@ -540,7 +526,7 @@ impl ClusterClient {
         }
         // no replica holds it (or none was reachable): one real
         // certify, failing over down the full ranking as usual
-        let resp = self.route(&key, &wire::encode_certify_request(graph, false, scheme))?;
+        let resp = self.route(&key, &opts.request(graph).encode())?;
         if let Some(record) = response_record(scheme, graph, &resp) {
             // the answering node cached and stored the result itself;
             // the other replicas get an explicit copy (a push to a
@@ -589,7 +575,16 @@ impl ClusterClient {
         let keys: Vec<Vec<u8>> = graphs.iter().map(|g| graph_key(scheme, g)).collect();
         let bodies: Vec<Vec<u8>> = graphs
             .iter()
-            .map(|g| wire::encode_certify_summary_request(g, bypass_cache, scheme))
+            .map(|graph| {
+                RequestRef::Certify {
+                    bypass_cache,
+                    cached_only: false,
+                    summary: true,
+                    graph,
+                    scheme,
+                }
+                .encode()
+            })
             .collect();
         let mut buckets: Vec<Vec<usize>> = (0..self.ring.len()).map(|_| Vec::new()).collect();
         for (i, key) in keys.iter().enumerate() {
@@ -715,7 +710,11 @@ impl ClusterClient {
     ) -> Result<Response, WireError> {
         let opts = opts.into();
         let key = graph_key(opts.scheme, graph);
-        self.route(&key, &wire::encode_check_request(graph, opts.scheme))
+        let req = RequestRef::Check {
+            graph,
+            scheme: opts.scheme,
+        };
+        self.route(&key, &req.encode())
     }
 
     /// Server-side generation, routed by the generation parameters.
@@ -728,10 +727,13 @@ impl ClusterClient {
     ) -> Result<Graph, WireError> {
         let opts = opts.into();
         let key = gen_key(opts.scheme, family, n, seed);
-        match self.route(
-            &key,
-            &wire::encode_gen_request(family, n, seed, opts.scheme),
-        )? {
+        let req = RequestRef::Gen {
+            family,
+            n,
+            seed,
+            scheme: opts.scheme,
+        };
+        match self.route(&key, &req.encode())? {
             Response::Generated(g) => Ok(g),
             Response::Error(e) => Err(WireError::Protocol(e)),
             other => Err(WireError::Protocol(format!(
@@ -748,10 +750,12 @@ impl ClusterClient {
     ) -> Result<Response, WireError> {
         let opts = opts.into();
         let key = graph_key(opts.scheme, graph);
-        self.route(
-            &key,
-            &wire::encode_soundness_request(graph, opts.seed, opts.scheme),
-        )
+        let req = RequestRef::SoundnessProbe {
+            seed: opts.seed,
+            graph,
+            scheme: opts.scheme,
+        };
+        self.route(&key, &req.encode())
     }
 
     /// Runs one interactive-certification session against the graph's

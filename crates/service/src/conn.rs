@@ -205,7 +205,7 @@ impl ConnCore {
         };
         // the trace keeps the wire kind: a certify born from a
         // GraphChunkEnd shows up as "chunkend" in the slow log
-        let kind = req.kind_tag();
+        let kind = req.kind() as u8;
         let scheme = req.scheme().map_or(0, |s| s.0);
         let req = match self.route(req, shared) {
             Route::Worker(req) => req,

@@ -12,8 +12,8 @@
 //!   capabilities; planarity is id 0, the wire default;
 //! * [`wire`] — the binary protocol: length-prefixed frames, varint
 //!   delta-encoded graphs, byte-exact `Assignment`/`Outcome` bodies;
-//!   request kinds Certify / Check / Gen / SoundnessProbe / Stats,
-//!   each graph-carrying kind addressing a scheme via a
+//!   every request and response kind declared once, as a row of a
+//!   kind table, each graph-carrying kind addressing a scheme via a
 //!   backward-compatible trailing extension (see `docs/WIRE.md`);
 //! * [`cache`] — the sharded, content-addressed certificate cache:
 //!   `(scheme id, canonical graph)` hash → `Arc`-shared prove result,

@@ -19,6 +19,7 @@
 //! and it is touched exclusively by slow requests and `SlowLog`
 //! snapshots.
 
+use crate::wire::RequestKind;
 use dpc_runtime::{get_uvarint, put_uvarint, DecodeError};
 use std::collections::VecDeque;
 use std::fmt;
@@ -246,7 +247,7 @@ pub struct Trace {
     /// `connection_id << 32 | sequence` — unique per request within
     /// one server process.
     pub trace_id: u64,
-    /// Request wire tag (`wire::REQ_*`).
+    /// Request wire tag (a [`RequestKind`] discriminant).
     pub kind: u8,
     /// Scheme wire id, or 0 for requests that carry no scheme.
     pub scheme: u16,
@@ -285,7 +286,7 @@ pub const SLOW_LOG_CAP: usize = 128;
 pub struct SlowLogEntry {
     /// `connection_id << 32 | sequence` of the offending request.
     pub trace_id: u64,
-    /// Request wire tag (`wire::REQ_*`).
+    /// Request wire tag (a [`RequestKind`] discriminant).
     pub kind: u8,
     /// Scheme wire id, or 0 for requests that carry no scheme.
     pub scheme: u16,
@@ -307,25 +308,10 @@ pub struct SlowLogEntry {
 }
 
 impl SlowLogEntry {
-    /// Human label for the request tag (mirrors `wire::REQ_*`).
+    /// The request kind's name ([`RequestKind::name`]), or `"?"` for a
+    /// tag no kind has.
     pub fn kind_name(&self) -> &'static str {
-        match self.kind {
-            1 => "certify",
-            2 => "check",
-            3 => "gen",
-            4 => "soundness",
-            5 => "stats",
-            6 => "slowlog",
-            7 => "storelist",
-            8 => "storepush",
-            9 => "chunkbegin",
-            10 => "chunk",
-            11 => "chunkend",
-            12 => "ibegin",
-            13 => "irespond",
-            14 => "audit",
-            _ => "?",
-        }
+        RequestKind::from_tag(self.kind as u64).map_or("?", RequestKind::name)
     }
 
     /// Appends the wire encoding of one slow-log entry (10 uvarints).
@@ -1634,6 +1620,19 @@ mod tests {
             write_flush_us: 1_150,
         };
         assert_eq!(entry.kind_name(), "certify");
+        // every tag `dpc slowlog` can print, and one past each end
+        let names: Vec<&str> = (0..16)
+            .map(|kind| {
+                SlowLogEntry {
+                    kind,
+                    ..SlowLogEntry::default()
+                }
+                .kind_name()
+            })
+            .collect();
+        let expected = "? certify check gen soundness stats slowlog storelist storepush \
+                        chunkbegin chunk chunkend ibegin irespond audit ?";
+        assert_eq!(names, expected.split_whitespace().collect::<Vec<_>>());
         let mut buf = Vec::new();
         entry.encode_into(&mut buf);
         let mut cursor = buf.as_slice();

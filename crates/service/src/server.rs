@@ -58,7 +58,7 @@ use crate::gen;
 use crate::metrics::{prometheus_text, Metrics, SlowLog, SlowLogEntry, StatsSnapshot, Trace};
 use crate::registry::{SchemeEntry, SchemeId, SchemeRegistry};
 use crate::store::{SegmentConfig, SegmentStore, StoreRecord, TieredCache};
-use crate::wire::{self, CheckVerdict, Request, Response, SoundnessLine, WireError};
+use crate::wire::{self, CheckVerdict, Request, RequestRef, Response, SoundnessLine, WireError};
 use dpc_core::adversary::soundness_report;
 use dpc_core::batch::BatchRunner;
 use dpc_core::harness::{certify_pls, Outcome};
@@ -1229,7 +1229,14 @@ fn prove_composite(
                 local.push(j);
                 continue;
             }
-            let body = wire::encode_certify_summary_request(sub, bypass_cache, scheme_id);
+            let body = RequestRef::Certify {
+                bypass_cache,
+                cached_only: false,
+                summary: true,
+                graph: sub,
+                scheme: scheme_id,
+            }
+            .encode();
             if body.len() > wire::MAX_FRAME_BYTES {
                 // one component too large to delegate in one frame:
                 // keep it home rather than open a second chunk leg

@@ -13,11 +13,15 @@
 //! non-negative gaps), so malformed input can produce `Protocol`
 //! errors but never duplicate edges, self-loops, or panics.
 //!
-//! Request kinds: Certify, Check, Gen, SoundnessProbe, Stats,
-//! SlowLog, StoreList, StorePush, GraphChunkBegin, GraphChunk,
-//! GraphChunkEnd. The codec is total: `decode(encode(x)) == x` for
-//! every request and response, which the property tests in
-//! `tests/wire_props.rs` pin down across all generator families.
+//! Each message enum ([`Request`], [`Response`], [`CheckVerdict`]) is
+//! generated from one table below, a row per kind: its wire tag, its
+//! log name, and its fields in wire order, each naming the [`Codec`]
+//! that carries it. The row is the only place a kind is declared, so
+//! the tags ([`RequestKind`], [`ResponseKind`]), both codec directions
+//! and the borrowing [`RequestRef`] cannot drift apart. The codec is
+//! total: `decode(encode(x)) == x` for every request and response,
+//! which the property tests in `tests/wire_props.rs` pin down across
+//! all generator families.
 //!
 //! StoreList and StorePush are the replication plane (wire v6): a
 //! peer lists another peer's store key digests, then streams it the
@@ -51,8 +55,10 @@ use dpc_core::harness::Outcome;
 use dpc_core::scheme::Assignment;
 use dpc_graph::{canon, Graph, GraphBuilder};
 use dpc_runtime::{get_bytes, get_uvarint, put_uvarint, DecodeError};
+use std::borrow::Borrow;
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::marker::PhantomData;
 
 /// Upper bound on a frame body, to bound allocation on malicious input.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
@@ -484,18 +490,178 @@ impl GraphStreamDecoder {
     }
 }
 
-fn encode_string(out: &mut Vec<u8>, s: &str) {
-    dpc_runtime::put_string(out, s);
-}
-
-fn decode_string(buf: &mut &[u8]) -> Result<String, WireError> {
-    // the announced length is bounded by the remaining frame bytes
-    // inside get_string, and frames are already capped
-    Ok(dpc_runtime::get_string(buf)?)
-}
-
 // ---------------------------------------------------------------------------
-// Request extensions.
+// Field codecs.
+
+/// How one field of a wire kind is written and read back. Every field
+/// in the kind tables below names one: its own type, where that type's
+/// encoding is the natural one, or a marker type ([`Extensions`],
+/// [`Le32`], [`CrcChunk`], [`CrcRecord`], [`List`]) where it is not.
+pub trait Codec {
+    /// What an encode reads, and [`RequestRef`] borrows: `str` for a
+    /// `String` field, `[T]` for a `Vec<T>`. A decode yields its owned
+    /// form.
+    type Value: ?Sized + ToOwned;
+    /// Appends `v`.
+    fn put(out: &mut Vec<u8>, v: &Self::Value);
+    /// Reads one value from the front of `buf`, advancing it.
+    fn get(buf: &mut &[u8]) -> Result<<Self::Value as ToOwned>::Owned, WireError>;
+}
+
+/// A uvarint.
+impl Codec for u64 {
+    type Value = u64;
+    fn put(out: &mut Vec<u8>, v: &u64) {
+        put_uvarint(out, *v);
+    }
+    fn get(buf: &mut &[u8]) -> Result<u64, WireError> {
+        Ok(get_uvarint(buf)?)
+    }
+}
+
+/// A uvarint that must fit 32 bits.
+impl Codec for u32 {
+    type Value = u32;
+    fn put(out: &mut Vec<u8>, v: &u32) {
+        put_uvarint(out, *v as u64);
+    }
+    fn get(buf: &mut &[u8]) -> Result<u32, WireError> {
+        let v = get_uvarint(buf)?;
+        u32::try_from(v).map_err(|_| protocol(format!("{v} does not fit in 32 bits")))
+    }
+}
+
+/// A uvarint holding the value's two's-complement bits.
+impl Codec for i64 {
+    type Value = i64;
+    fn put(out: &mut Vec<u8>, v: &i64) {
+        put_uvarint(out, *v as u64);
+    }
+    fn get(buf: &mut &[u8]) -> Result<i64, WireError> {
+        Ok(get_uvarint(buf)? as i64)
+    }
+}
+
+/// A uvarint, 0 or 1.
+impl Codec for bool {
+    type Value = bool;
+    fn put(out: &mut Vec<u8>, v: &bool) {
+        put_uvarint(out, *v as u64);
+    }
+    fn get(buf: &mut &[u8]) -> Result<bool, WireError> {
+        match get_uvarint(buf)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            x => Err(protocol(format!("flag {x} is neither 0 nor 1"))),
+        }
+    }
+}
+
+/// 16 little-endian bytes (a store content key).
+impl Codec for u128 {
+    type Value = u128;
+    fn put(out: &mut Vec<u8>, v: &u128) {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    fn get(buf: &mut &[u8]) -> Result<u128, WireError> {
+        Ok(u128::from_le_bytes(get_array(buf)?))
+    }
+}
+
+/// A uvarint byte length, then that many bytes of UTF-8.
+impl Codec for String {
+    type Value = str;
+    fn put(out: &mut Vec<u8>, v: &str) {
+        dpc_runtime::put_string(out, v);
+    }
+    fn get(buf: &mut &[u8]) -> Result<String, WireError> {
+        // the announced length is bounded by the remaining frame bytes
+        // inside get_string, and frames are already capped
+        Ok(dpc_runtime::get_string(buf)?)
+    }
+}
+
+/// The canonical graph encoding ([`encode_graph`], [`decode_graph`]).
+impl Codec for Graph {
+    type Value = Graph;
+    fn put(out: &mut Vec<u8>, v: &Graph) {
+        encode_graph(out, v);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Graph, WireError> {
+        decode_graph(buf)
+    }
+}
+
+/// A certificate assignment, byte for byte.
+impl Codec for Assignment {
+    type Value = Assignment;
+    fn put(out: &mut Vec<u8>, v: &Assignment) {
+        v.encode_into(out);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Assignment, WireError> {
+        Ok(Assignment::decode_from(buf)?)
+    }
+}
+
+/// A measured verification outcome.
+impl Codec for Outcome {
+    type Value = Outcome;
+    fn put(out: &mut Vec<u8>, v: &Outcome) {
+        v.encode_into(out);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Outcome, WireError> {
+        Ok(Outcome::decode_from(buf)?)
+    }
+}
+
+/// A Stats snapshot, every version's tail included.
+impl Codec for Box<StatsSnapshot> {
+    type Value = Box<StatsSnapshot>;
+    fn put(out: &mut Vec<u8>, v: &Box<StatsSnapshot>) {
+        v.encode_into(out);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Box<StatsSnapshot>, WireError> {
+        Ok(Box::new(StatsSnapshot::decode_from(buf)?))
+    }
+}
+
+/// One slow-log entry: ten uvarints.
+impl Codec for SlowLogEntry {
+    type Value = SlowLogEntry;
+    fn put(out: &mut Vec<u8>, v: &SlowLogEntry) {
+        v.encode_into(out);
+    }
+    fn get(buf: &mut &[u8]) -> Result<SlowLogEntry, WireError> {
+        Ok(SlowLogEntry::decode_from(buf)?)
+    }
+}
+
+/// One soundness row: the attack's name, then a uvarint that is 0 for
+/// an inapplicable attack and the reject count plus one otherwise.
+impl Codec for SoundnessLine {
+    type Value = SoundnessLine;
+    fn put(out: &mut Vec<u8>, v: &SoundnessLine) {
+        String::put(out, &v.attack);
+        put_uvarint(out, v.rejects.map_or(0, |r| 1 + r));
+    }
+    fn get(buf: &mut &[u8]) -> Result<SoundnessLine, WireError> {
+        Ok(SoundnessLine {
+            attack: String::get(buf)?,
+            rejects: get_uvarint(buf)?.checked_sub(1),
+        })
+    }
+}
+
+/// A check verdict: its tag, then its fields.
+impl Codec for CheckVerdict {
+    type Value = CheckVerdict;
+    fn put(out: &mut Vec<u8>, v: &CheckVerdict) {
+        v.put_into(out);
+    }
+    fn get(buf: &mut &[u8]) -> Result<CheckVerdict, WireError> {
+        CheckVerdict::get_from(buf)
+    }
+}
 
 /// Extension tag carrying a scheme id (payload: one varint ≤ `u16::MAX`).
 pub const EXT_SCHEME_ID: u64 = 1;
@@ -503,51 +669,395 @@ pub const EXT_SCHEME_ID: u64 = 1;
 /// Upper bound on one extension payload.
 const MAX_EXT_BYTES: usize = 1 << 16;
 
-/// Appends the trailing extension block of a request. Extensions are
-/// `(tag, length, payload)` triples after the legacy fields; decoders
-/// skip unknown tags, so the block is the protocol's growth point.
-/// The scheme id is only emitted when it is not the default
-/// ([`SchemeId::PLANARITY`]) — planarity requests are byte-identical
-/// to the pre-registry (v1) encoding.
-fn encode_extensions(out: &mut Vec<u8>, scheme: SchemeId) {
-    if scheme != SchemeId::PLANARITY {
-        put_uvarint(out, EXT_SCHEME_ID);
-        let mut payload = Vec::with_capacity(3);
-        put_uvarint(&mut payload, scheme.0 as u64);
-        put_uvarint(out, payload.len() as u64);
-        out.extend_from_slice(&payload);
+/// The trailing extension block of a request, carrying its scheme id.
+///
+/// Extensions are `(tag, length, payload)` triples after the legacy
+/// fields; decoders skip unknown tags, so the block is the protocol's
+/// growth point. The scheme id is only emitted when it is not the
+/// default ([`SchemeId::PLANARITY`]), so planarity requests are
+/// byte-identical to the pre-registry (v1) encoding. The decode
+/// consumes the rest of the body: an absent block (or absent scheme-id
+/// extension) means planarity, and a duplicate or malformed scheme-id
+/// extension is a protocol error. The id is *not* checked against any
+/// registry here: routing a syntactically valid but unregistered id is
+/// the server's job (it answers with a clean `Error` response), not the
+/// codec's.
+pub struct Extensions;
+
+impl Codec for Extensions {
+    type Value = SchemeId;
+    fn put(out: &mut Vec<u8>, scheme: &SchemeId) {
+        if *scheme != SchemeId::PLANARITY {
+            put_uvarint(out, EXT_SCHEME_ID);
+            let mut payload = Vec::with_capacity(3);
+            put_uvarint(&mut payload, scheme.0 as u64);
+            put_uvarint(out, payload.len() as u64);
+            out.extend_from_slice(&payload);
+        }
+    }
+    fn get(buf: &mut &[u8]) -> Result<SchemeId, WireError> {
+        let mut scheme: Option<SchemeId> = None;
+        while !buf.is_empty() {
+            let tag = get_uvarint(buf)?;
+            let len = get_uvarint(buf)?;
+            if len > MAX_EXT_BYTES as u64 {
+                return Err(protocol(format!("extension {tag} of {len} bytes")));
+            }
+            let mut payload = get_bytes(buf, len as usize)?;
+            if tag == EXT_SCHEME_ID {
+                if scheme.is_some() {
+                    return Err(protocol("duplicate scheme-id extension"));
+                }
+                let id = get_uvarint(&mut payload)?;
+                if id > u16::MAX as u64 || !payload.is_empty() {
+                    return Err(protocol(format!("malformed scheme id {id}")));
+                }
+                scheme = Some(SchemeId(id as u16));
+            }
+            // any other tag: skip via its length (forward compatibility)
+        }
+        Ok(scheme.unwrap_or(SchemeId::PLANARITY))
     }
 }
 
-/// Decodes the trailing extension block, consuming the rest of `buf`.
-/// Absent block (or absent scheme-id extension) means planarity.
-/// Unknown extension tags are skipped; a duplicate or malformed
-/// scheme-id extension is a protocol error. Note the id is *not*
-/// checked against any registry here — routing a syntactically valid
-/// but unregistered id is the server's job (it answers with a clean
-/// `Error` response), not the codec's.
-fn decode_extensions(buf: &mut &[u8]) -> Result<SchemeId, WireError> {
-    let mut scheme: Option<SchemeId> = None;
-    while !buf.is_empty() {
-        let tag = get_uvarint(buf)?;
-        let len = get_uvarint(buf)? as usize;
-        if len > MAX_EXT_BYTES {
-            return Err(protocol(format!("extension {tag} of {len} bytes")));
-        }
-        let mut payload = get_bytes(buf, len)?;
-        if tag == EXT_SCHEME_ID {
-            if scheme.is_some() {
-                return Err(protocol("duplicate scheme-id extension"));
-            }
-            let id = get_uvarint(&mut payload)?;
-            if id > u16::MAX as u64 || !payload.is_empty() {
-                return Err(protocol(format!("malformed scheme id {id}")));
-            }
-            scheme = Some(SchemeId(id as u16));
-        }
-        // any other tag: skip via its length (forward compatibility)
+/// A little-endian u32: the CRC-32 that closes a chunked upload.
+pub struct Le32;
+
+impl Codec for Le32 {
+    type Value = u32;
+    fn put(out: &mut Vec<u8>, v: &u32) {
+        out.extend_from_slice(&v.to_le_bytes());
     }
-    Ok(scheme.unwrap_or(SchemeId::PLANARITY))
+    fn get(buf: &mut &[u8]) -> Result<u32, WireError> {
+        Ok(u32::from_le_bytes(get_array(buf)?))
+    }
+}
+
+/// One slice of a chunked upload: `uvarint(len) ‖ payload ‖
+/// crc32_le(payload)`, at most [`MAX_CHUNK_BYTES`] long, its CRC checked
+/// on decode.
+pub struct CrcChunk;
+
+impl Codec for CrcChunk {
+    type Value = [u8];
+    fn put(out: &mut Vec<u8>, v: &[u8]) {
+        debug_assert!(v.len() <= MAX_CHUNK_BYTES);
+        put_crc_framed(out, v);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Vec<u8>, WireError> {
+        Ok(get_crc_framed(buf, MAX_CHUNK_BYTES, "graph chunk")?.to_vec())
+    }
+}
+
+/// One store record: [`StoreRecord::encode_body`]'s bytes, framed as
+/// `uvarint(len) ‖ body ‖ crc32_le(body)`. The CRC guards the
+/// certificate bytes in transit exactly like the segment files guard
+/// them at rest.
+pub struct CrcRecord;
+
+impl Codec for CrcRecord {
+    type Value = StoreRecord;
+    fn put(out: &mut Vec<u8>, v: &StoreRecord) {
+        put_crc_framed(out, &v.encode_body());
+    }
+    fn get(buf: &mut &[u8]) -> Result<StoreRecord, WireError> {
+        let body = get_crc_framed(buf, MAX_FRAME_BYTES, "store record")?;
+        StoreRecord::decode_body(body).map_err(|e| protocol(format!("bad store record: {e}")))
+    }
+}
+
+/// A uvarint count of at most `MAX`, then that many `C` values. The
+/// decode grows the list one value at a time, so a hostile count
+/// allocates only in proportion to the bytes that actually follow it.
+pub struct List<C, const MAX: usize = { usize::MAX }>(PhantomData<C>);
+
+impl<C: Codec, const MAX: usize> Codec for List<C, MAX>
+where
+    <C::Value as ToOwned>::Owned: Clone,
+{
+    type Value = [<C::Value as ToOwned>::Owned];
+    fn put(out: &mut Vec<u8>, v: &Self::Value) {
+        put_uvarint(out, v.len() as u64);
+        for x in v {
+            C::put(out, x.borrow());
+        }
+    }
+    fn get(buf: &mut &[u8]) -> Result<Vec<<C::Value as ToOwned>::Owned>, WireError> {
+        let count = get_uvarint(buf)?;
+        if count > MAX as u64 {
+            return Err(protocol(format!(
+                "{count} list entries exceed the limit of {MAX}"
+            )));
+        }
+        (0..count).map(|_| C::get(buf)).collect()
+    }
+}
+
+fn get_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], WireError> {
+    Ok(get_bytes(buf, N)?
+        .try_into()
+        .expect("get_bytes returned N bytes"))
+}
+
+fn put_crc_framed(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_uvarint(out, bytes.len() as u64);
+    out.extend_from_slice(bytes);
+    out.extend_from_slice(&crc32(bytes).to_le_bytes());
+}
+
+/// Reads `uvarint(len) ‖ bytes ‖ crc32_le(bytes)` and checks the CRC.
+fn get_crc_framed<'a>(buf: &mut &'a [u8], max: usize, what: &str) -> Result<&'a [u8], WireError> {
+    let len = get_uvarint(buf)?;
+    if len > max as u64 {
+        return Err(protocol(format!("{what} of {len} bytes exceeds the limit")));
+    }
+    if len > buf.len() as u64 {
+        return Err(protocol(format!("{what} longer than the frame")));
+    }
+    let bytes = get_bytes(buf, len as usize)?;
+    if crc32(bytes) != u32::from_le_bytes(get_array(buf)?) {
+        return Err(protocol(format!("{what} failed its CRC check")));
+    }
+    Ok(bytes)
+}
+
+// ---------------------------------------------------------------------------
+// The kind tables.
+
+/// Generates one message enum of the protocol from its table, so each
+/// kind is declared once.
+///
+/// The header names the enum, its kind enum (whose discriminants are
+/// the wire tags), optionally a borrowing twin (`ref RequestRef`), and
+/// the noun of an unknown tag's error. Each row is `tag Variant "name"`
+/// and the variant's fields in wire order: `{ field: Type, .. }`, a
+/// tuple variant's one `(field: Type)`, or nothing for a unit variant.
+/// A field travels by its type's own [`Codec`] unless `as Codec` names
+/// another, and `=> &Borrowed` makes the borrowing twin hold it by
+/// reference instead of by copy. A row may also name hand-written code:
+/// - `by module`: `module::put` and `module::get` write and read the
+///   whole body, for a layout no field codec expresses;
+/// - `check f(a, b)`: after a decode, `f(&a, &b)` may still reject it.
+///
+/// It generates the enum, its kind enum (`ALL`, `from_tag`, `name`,
+/// `fields`), `kind`, `put_into`, `get_from`, `encode` and `decode`.
+/// With a borrowing twin it also generates the twin and `as_ref`, and
+/// the owned enum encodes through the twin's `put_into`, so there is one
+/// encoder per table.
+macro_rules! wire_kinds {
+    (
+        $(#[$attr:meta])*
+        enum $Enum:ident, kind $Kind:ident, ref $Ref:ident, $what:literal;
+        $($rows:tt)*
+    ) => {
+        wire_kinds!(@common [$Ref<'_>] $(#[$attr])* $Enum $Kind $what; $($rows)*);
+        wire_kinds!(@borrowed $Enum $Kind $Ref; $($rows)*);
+    };
+    (
+        $(#[$attr:meta])*
+        enum $Enum:ident, kind $Kind:ident, $what:literal;
+        $($rows:tt)*
+    ) => {
+        wire_kinds!(@common [$Enum] $(#[$attr])* $Enum $Kind $what; $($rows)*);
+    };
+    // `$Put` is the type that holds the table's one encoder
+    (@common [$Put:ty] $(#[$attr:meta])* $Enum:ident $Kind:ident $what:literal;
+        $(
+            $(#[$vdoc:meta])*
+            $tag:literal $V:ident $name:literal
+            $(by $by:ident)?
+            $(check $check:ident($($carg:ident),*))?
+            $(($tf:ident: $tty:ty $(=> &$tref:ty)? $(as $tc:ty)?))?
+            $({$(
+                $(#[$fdoc:meta])*
+                $f:ident: $fty:ty $(=> &$fref:ty)? $(as $fc:ty)?
+            ),* $(,)?})?,
+        )*
+    ) => {
+        $(#[$attr])*
+        pub enum $Enum {
+            $(
+                $(#[$vdoc])*
+                $V $(($tty))? $({$($(#[$fdoc])* $f: $fty),*})?,
+            )*
+        }
+
+        #[doc = concat!("The kinds of [`", stringify!($Enum), "`]; each discriminant is the kind's wire tag.")]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum $Kind {
+            $(
+                #[doc = concat!("[`", stringify!($Enum), "::", stringify!($V), "`].")]
+                $V = $tag,
+            )*
+        }
+
+        impl $Kind {
+            /// Every kind, in table order.
+            pub const ALL: &'static [$Kind] = &[$($Kind::$V),*];
+
+            /// The kind a wire tag names, if any.
+            pub fn from_tag(tag: u64) -> Option<$Kind> {
+                match tag {
+                    $($tag => Some($Kind::$V),)*
+                    _ => None,
+                }
+            }
+
+            /// The kind's short name, as logs print it.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($Kind::$V => $name,)*
+                }
+            }
+
+            /// The kind's fields in wire order, each with the codec that
+            /// carries it, as written in its table row.
+            pub fn fields(self) -> &'static [(&'static str, &'static str)] {
+                match self {
+                    $($Kind::$V => &[
+                        $((stringify!($tf), wire_kinds!(@codec_name $tty $(as $tc)?)))?
+                        $($((stringify!($f), wire_kinds!(@codec_name $fty $(as $fc)?))),*)?
+                    ],)*
+                }
+            }
+        }
+
+        impl $Enum {
+            /// The message's kind.
+            pub fn kind(&self) -> $Kind {
+                match self {
+                    $(Self::$V { .. } => $Kind::$V,)*
+                }
+            }
+
+            /// Reads one message (tag and body) from the front of `buf`,
+            /// advancing it.
+            pub fn get_from(buf: &mut &[u8]) -> Result<Self, WireError> {
+                let tag = get_uvarint(buf)?;
+                let Some(kind) = $Kind::from_tag(tag) else {
+                    return Err(protocol(format!(concat!("unknown ", $what, " {}"), tag)));
+                };
+                Ok(match kind {
+                    $($Kind::$V => {
+                        wire_kinds!(@get buf $(by $by)?;
+                            $($tf: $tty $(as $tc)?)? $($($f: $fty $(as $fc)?),*)?);
+                        $($check($(&$carg),*)?;)?
+                        Self::$V { $(0: $tf)? $($($f),*)? }
+                    })*
+                })
+            }
+
+            /// Encodes the message as a frame body.
+            pub fn encode(&self) -> Vec<u8> {
+                let mut out = Vec::new();
+                self.put_into(&mut out);
+                out
+            }
+
+            /// Decodes a frame body; the whole body must be consumed.
+            pub fn decode(body: &[u8]) -> Result<Self, WireError> {
+                let mut buf = body;
+                let msg = Self::get_from(&mut buf)?;
+                if !buf.is_empty() {
+                    return Err(protocol(format!("{} trailing bytes", buf.len())));
+                }
+                Ok(msg)
+            }
+        }
+
+        impl $Put {
+            /// Appends the kind tag and body.
+            pub fn put_into(&self, out: &mut Vec<u8>) {
+                put_uvarint(out, self.kind() as u64);
+                match self {
+                    $(Self::$V { $(0: $tf)? $($($f),*)? } => {
+                        wire_kinds!(@put out $(by $by)?;
+                            $($tf: $tty $(as $tc)?)? $($($f: $fty $(as $fc)?),*)?);
+                    })*
+                }
+            }
+        }
+    };
+    (@borrowed $Enum:ident $Kind:ident $Ref:ident;
+        $(
+            $(#[$vdoc:meta])*
+            $tag:literal $V:ident $name:literal
+            $(by $by:ident)?
+            $(check $check:ident($($carg:ident),*))?
+            $(($tf:ident: $tty:ty $(=> &$tref:ty)? $(as $tc:ty)?))?
+            $({$(
+                $(#[$fdoc:meta])*
+                $f:ident: $fty:ty $(=> &$fref:ty)? $(as $fc:ty)?
+            ),* $(,)?})?,
+        )*
+    ) => {
+        #[doc = concat!("A [`", stringify!($Enum), "`] that borrows its graphs, strings and \
+            payloads, so a frame body is encoded without cloning them. It holds the one \
+            encoder of its table: [`", stringify!($Enum), "::encode`] goes through \
+            [`", stringify!($Enum), "::as_ref`].")]
+        #[derive(Debug, Clone, Copy)]
+        pub enum $Ref<'a> {
+            $(
+                $(#[$vdoc])*
+                $V $((wire_kinds!(@ref_ty 'a $tty $(=> &$tref)?)))?
+                    $({$($(#[$fdoc])* $f: wire_kinds!(@ref_ty 'a $fty $(=> &$fref)?)),*})?,
+            )*
+        }
+
+        impl $Enum {
+            /// Borrows the message, for an encode.
+            pub fn as_ref(&self) -> $Ref<'_> {
+                match self {
+                    $(Self::$V { $(0: $tf)? $($($f),*)? } => $Ref::$V {
+                        $(0: wire_kinds!(@ref_val $tf $(=> &$tref)?))?
+                        $($($f: wire_kinds!(@ref_val $f $(=> &$fref)?)),*)?
+                    },)*
+                }
+            }
+
+            /// Appends the kind tag and body.
+            pub fn put_into(&self, out: &mut Vec<u8>) {
+                self.as_ref().put_into(out);
+            }
+        }
+
+        impl $Ref<'_> {
+            /// The message's kind.
+            pub fn kind(&self) -> $Kind {
+                match self {
+                    $(Self::$V { .. } => $Kind::$V,)*
+                }
+            }
+
+            /// Encodes the message as a frame body.
+            pub fn encode(&self) -> Vec<u8> {
+                let mut out = Vec::new();
+                self.put_into(&mut out);
+                out
+            }
+        }
+    };
+    (@get $buf:ident by $by:ident; $($f:ident: $t:ty $(as $c:ty)?),*) => {
+        let ($($f),*) = $by::get($buf)?;
+    };
+    (@get $buf:ident; $($f:ident: $t:ty $(as $c:ty)?),*) => {
+        $(let $f = <wire_kinds!(@codec $t $(as $c)?) as Codec>::get($buf)?;)*
+    };
+    (@put $out:ident by $by:ident; $($f:ident: $t:ty $(as $c:ty)?),*) => {
+        $by::put($out, $(Borrow::borrow($f)),*)
+    };
+    (@put $out:ident; $($f:ident: $t:ty $(as $c:ty)?),*) => {
+        $(<wire_kinds!(@codec $t $(as $c)?) as Codec>::put($out, Borrow::borrow($f));)*
+    };
+    (@codec $t:ty as $c:ty) => { $c };
+    (@codec $t:ty) => { $t };
+    (@codec_name $t:ty as $c:ty) => { stringify!($c) };
+    (@codec_name $t:ty) => { stringify!($t) };
+    (@ref_ty $a:lifetime $t:ty => &$r:ty) => { &$a $r };
+    (@ref_ty $a:lifetime $t:ty) => { $t };
+    (@ref_val $x:ident => &$r:ty) => { Borrow::<$r>::borrow($x) };
+    (@ref_val $x:ident) => { *$x };
 }
 
 // ---------------------------------------------------------------------------
@@ -577,14 +1087,14 @@ pub const CERTIFY_FLAG_SUMMARY: u64 = 4;
 /// from a real failure.
 pub const NOT_CACHED: &str = "not cached";
 
-/// A client request.
-#[derive(Debug, Clone)]
-pub enum Request {
+wire_kinds! {
+    /// A client request.
+    #[derive(Debug, Clone)]
+    enum Request, kind RequestKind, ref RequestRef, "request kind";
+
     /// Run the scheme's prover (or serve it from cache) and return the
     /// certificate assignment plus the measured outcome.
-    Certify {
-        /// The network to certify.
-        graph: Graph,
+    1 Certify "certify" by certify_body {
         /// Skip the cache entirely (used to measure cold latency).
         bypass_cache: bool,
         /// Only answer from cache; a miss is `Error(`[`NOT_CACHED`]`)`
@@ -595,22 +1105,24 @@ pub enum Request {
         /// prove disconnected graphs component by component instead
         /// of declining them (see [`CERTIFY_FLAG_SUMMARY`]).
         summary: bool,
+        /// The network to certify.
+        graph: Graph => &Graph,
         /// The registered scheme to run (default: planarity).
-        scheme: SchemeId,
+        scheme: SchemeId as Extensions,
     },
     /// Centralized membership check. Under planarity this returns an
     /// embedding/witness summary; under any other scheme a generic
     /// in-class/out-of-class verdict.
-    Check {
+    2 Check "check" {
         /// The graph to test.
-        graph: Graph,
+        graph: Graph => &Graph,
         /// The registered scheme whose class is tested.
-        scheme: SchemeId,
+        scheme: SchemeId as Extensions,
     },
     /// Generate a graph server-side from a named family.
-    Gen {
+    3 Gen "gen" {
         /// Family name (see [`crate::gen::FAMILIES`]).
-        family: String,
+        family: String => &str,
         /// Approximate node count.
         n: u32,
         /// Generator seed.
@@ -620,62 +1132,62 @@ pub enum Request {
         /// concrete family names ignore it. Never validated against
         /// the server's registry, so generation works against
         /// registry-restricted servers.
-        scheme: SchemeId,
+        scheme: SchemeId as Extensions,
     },
     /// Run the adversarial attack battery against the graph.
-    SoundnessProbe {
-        /// The (typically no-instance) network to attack.
-        graph: Graph,
+    4 SoundnessProbe "soundness" {
         /// Attack seed.
         seed: u64,
+        /// The (typically no-instance) network to attack.
+        graph: Graph => &Graph,
         /// The registered scheme to attack (must support probes).
-        scheme: SchemeId,
+        scheme: SchemeId as Extensions,
     },
     /// Fetch server counters and latency quantiles.
-    Stats,
+    5 Stats "stats",
     /// Fetch the retained slow-request log (stage breakdowns of
     /// requests that crossed the server's `--slow-ms` threshold).
-    SlowLog,
+    6 SlowLog "slowlog",
     /// List the key digests of the server's certificate store
     /// (anti-entropy phase 1: "what do you have?").
-    StoreList,
+    7 StoreList "storelist",
     /// Stream store records into the server's store, deduplicated by
     /// content key (anti-entropy phase 2, replica writes, and
     /// read-repair backfills).
-    StorePush {
+    8 StorePush "storepush" {
         /// The records to absorb, each CRC-checked on the wire.
-        records: Vec<StoreRecord>,
+        records: Vec<StoreRecord> => &[StoreRecord] as List<CrcRecord>,
     },
     /// Open a chunked graph upload session on this connection. The
     /// graph streamed through the session is certified in summary
     /// mode once `GraphChunkEnd` closes it. Answered with a
     /// [`Response::ChunkAck`].
-    GraphChunkBegin {
+    9 GraphChunkBegin "chunkbegin" {
         /// Client-chosen session id; `GraphChunk`/`GraphChunkEnd`
         /// frames on the same connection must echo it.
         session: u64,
         /// Skip the cache for the final certify.
         bypass_cache: bool,
         /// The registered scheme to run (default: planarity).
-        scheme: SchemeId,
+        scheme: SchemeId as Extensions,
     },
     /// One CRC-checked slice of the streamed graph encoding.
     /// Answered with a [`Response::ChunkAck`].
-    GraphChunk {
+    10 GraphChunk "chunk" {
         /// Session id from `GraphChunkBegin`.
         session: u64,
         /// Zero-based chunk sequence number; chunks must arrive in
         /// order, without gaps or duplicates.
         seq: u64,
         /// The encoding slice (at most [`MAX_CHUNK_BYTES`]).
-        payload: Vec<u8>,
+        payload: Vec<u8> => &[u8] as CrcChunk,
     },
     /// Close a chunk session: the server checks the totals and the
     /// whole-payload CRC, finishes the incremental decode, and
     /// certifies the graph in summary mode. Answered with the
     /// certify's [`Response::CertifiedSummary`] / `Declined` /
     /// `Error`.
-    GraphChunkEnd {
+    11 GraphChunkEnd "chunkend" {
         /// Session id from `GraphChunkBegin`.
         session: u64,
         /// Number of `GraphChunk` frames the client sent.
@@ -683,14 +1195,14 @@ pub enum Request {
         /// Total payload bytes across all chunks.
         total_bytes: u64,
         /// CRC-32 of the whole reassembled payload.
-        crc: u32,
+        crc: u32 as Le32,
     },
     /// Open an interactive (dMAM) session on this connection: the
     /// client plays Merlin and commits, the server plays Arthur.
     /// Answered with a [`Response::Challenge`] whose coin is a pure
     /// function of `seed`, so the whole transcript is reproducible
     /// from the seed logged with the session's trace.
-    InteractiveBegin {
+    12 InteractiveBegin "ibegin" check commit_fits_graph(graph, commit) {
         /// Client-chosen session id; the `InteractiveRespond` frame
         /// on the same connection must echo it.
         session: u64,
@@ -698,27 +1210,27 @@ pub enum Request {
         /// (`challenge_from_seed`), never drawn from server state.
         seed: u64,
         /// The network under interactive certification.
-        graph: Graph,
+        graph: Graph => &Graph,
         /// Merlin's commitment assignment (round 1 of the dMAM
         /// exchange).
-        commit: Assignment,
+        commit: Assignment => &Assignment,
         /// The registered interactive protocol to run (default:
         /// planarity).
-        scheme: SchemeId,
+        scheme: SchemeId as Extensions,
     },
     /// Merlin's response to the challenge (round 3). Answered with
     /// the closing [`Response::Verdict`].
-    InteractiveRespond {
+    13 InteractiveRespond "irespond" {
         /// Session id from `InteractiveBegin`.
         session: u64,
         /// The response assignment, opened against the challenge.
-        response: Assignment,
+        response: Assignment => &Assignment,
     },
     /// Run one randomized store-audit sweep now: sample stored
     /// certificates, re-verify a random vertex subset of each, and
     /// quarantine records whose bytes are CRC-valid but fail
     /// verification. Answered with a [`Response::AuditReport`].
-    Audit {
+    14 Audit "audit" {
         /// Records to sample in this sweep (0 means the server's
         /// default).
         samples: u64,
@@ -727,9 +1239,67 @@ pub enum Request {
     },
 }
 
+/// Certify's body, by hand: its three flags share one uvarint, and the
+/// decode rejects unknown and contradictory ones.
+mod certify_body {
+    use super::*;
+
+    pub(super) fn put(
+        out: &mut Vec<u8>,
+        bypass_cache: &bool,
+        cached_only: &bool,
+        summary: &bool,
+        graph: &Graph,
+        scheme: &SchemeId,
+    ) {
+        let flags = [
+            (*bypass_cache, CERTIFY_FLAG_BYPASS_CACHE),
+            (*cached_only, CERTIFY_FLAG_CACHED_ONLY),
+            (*summary, CERTIFY_FLAG_SUMMARY),
+        ];
+        put_uvarint(out, flags.iter().filter(|f| f.0).map(|f| f.1).sum());
+        encode_graph(out, graph);
+        Extensions::put(out, scheme);
+    }
+
+    pub(super) fn get(buf: &mut &[u8]) -> Result<(bool, bool, bool, Graph, SchemeId), WireError> {
+        let flags = get_uvarint(buf)?;
+        let known = CERTIFY_FLAG_BYPASS_CACHE | CERTIFY_FLAG_CACHED_ONLY | CERTIFY_FLAG_SUMMARY;
+        if flags & !known != 0 {
+            return Err(protocol(format!("unknown certify flags {flags:#x}")));
+        }
+        if flags & CERTIFY_FLAG_CACHED_ONLY != 0
+            && flags & (CERTIFY_FLAG_BYPASS_CACHE | CERTIFY_FLAG_SUMMARY) != 0
+        {
+            // "only the cache" contradicts both "skip the cache" and
+            // the prove-components summary mode
+            return Err(protocol("contradictory certify flags"));
+        }
+        Ok((
+            flags & CERTIFY_FLAG_BYPASS_CACHE != 0,
+            flags & CERTIFY_FLAG_CACHED_ONLY != 0,
+            flags & CERTIFY_FLAG_SUMMARY != 0,
+            decode_graph(buf)?,
+            Extensions::get(buf)?,
+        ))
+    }
+}
+
+/// InteractiveBegin's check: one commitment per node.
+fn commit_fits_graph(graph: &Graph, commit: &Assignment) -> Result<(), WireError> {
+    if commit.certs.len() != graph.node_count() {
+        return Err(protocol(format!(
+            "commitment for {} nodes on a {}-node graph",
+            commit.certs.len(),
+            graph.node_count()
+        )));
+    }
+    Ok(())
+}
+
 impl Request {
-    /// The scheme id the request addresses (`None` for the
-    /// scheme-less kinds: Stats, SlowLog, StoreList, StorePush).
+    /// The scheme id the request addresses (`None` for the kinds that
+    /// carry none).
     pub fn scheme(&self) -> Option<SchemeId> {
         match self {
             Request::Certify { scheme, .. }
@@ -748,513 +1318,43 @@ impl Request {
             | Request::Audit { .. } => None,
         }
     }
-
-    /// The request's wire tag — what a [`crate::metrics::Trace`]
-    /// carries as its `kind` and slow-log entries echo back.
-    pub fn kind_tag(&self) -> u8 {
-        (match self {
-            Request::Certify { .. } => REQ_CERTIFY,
-            Request::Check { .. } => REQ_CHECK,
-            Request::Gen { .. } => REQ_GEN,
-            Request::SoundnessProbe { .. } => REQ_SOUNDNESS,
-            Request::Stats => REQ_STATS,
-            Request::SlowLog => REQ_SLOWLOG,
-            Request::StoreList => REQ_STORELIST,
-            Request::StorePush { .. } => REQ_STOREPUSH,
-            Request::GraphChunkBegin { .. } => REQ_CHUNK_BEGIN,
-            Request::GraphChunk { .. } => REQ_CHUNK,
-            Request::GraphChunkEnd { .. } => REQ_CHUNK_END,
-            Request::InteractiveBegin { .. } => REQ_INTERACTIVE_BEGIN,
-            Request::InteractiveRespond { .. } => REQ_INTERACTIVE_RESPOND,
-            Request::Audit { .. } => REQ_AUDIT,
-        }) as u8
-    }
-}
-
-const REQ_CERTIFY: u64 = 1;
-const REQ_CHECK: u64 = 2;
-const REQ_GEN: u64 = 3;
-const REQ_SOUNDNESS: u64 = 4;
-const REQ_STATS: u64 = 5;
-const REQ_SLOWLOG: u64 = 6;
-const REQ_STORELIST: u64 = 7;
-const REQ_STOREPUSH: u64 = 8;
-const REQ_CHUNK_BEGIN: u64 = 9;
-const REQ_CHUNK: u64 = 10;
-const REQ_CHUNK_END: u64 = 11;
-const REQ_INTERACTIVE_BEGIN: u64 = 12;
-const REQ_INTERACTIVE_RESPOND: u64 = 13;
-const REQ_AUDIT: u64 = 14;
-
-// Borrowing encoders: build a frame body straight from a `&Graph`,
-// without constructing an owned `Request` (the client's hot path —
-// certifying a 10k-node graph should not clone it first).
-
-/// Frame body of a Certify request.
-pub fn encode_certify_request(graph: &Graph, bypass_cache: bool, scheme: SchemeId) -> Vec<u8> {
-    let flags = if bypass_cache {
-        CERTIFY_FLAG_BYPASS_CACHE
-    } else {
-        0
-    };
-    certify_body(graph, flags, scheme)
-}
-
-/// Frame body of a cached-only Certify probe (see
-/// [`CERTIFY_FLAG_CACHED_ONLY`]): a warm server answers from cache, a
-/// cold one replies `Error(`[`NOT_CACHED`]`)` without proving.
-pub fn encode_certify_probe_request(graph: &Graph, scheme: SchemeId) -> Vec<u8> {
-    certify_body(graph, CERTIFY_FLAG_CACHED_ONLY, scheme)
-}
-
-/// Frame body of a summary Certify (see [`CERTIFY_FLAG_SUMMARY`]):
-/// the answer carries the outcome fold but no assignment, and
-/// disconnected graphs are proved component by component. This is
-/// the frame fleet-distributed proving sends for each partition.
-pub fn encode_certify_summary_request(
-    graph: &Graph,
-    bypass_cache: bool,
-    scheme: SchemeId,
-) -> Vec<u8> {
-    let mut flags = CERTIFY_FLAG_SUMMARY;
-    if bypass_cache {
-        flags |= CERTIFY_FLAG_BYPASS_CACHE;
-    }
-    certify_body(graph, flags, scheme)
-}
-
-/// Frame body of a GraphChunkBegin request.
-pub fn encode_chunk_begin_request(session: u64, bypass_cache: bool, scheme: SchemeId) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_uvarint(&mut out, REQ_CHUNK_BEGIN);
-    put_uvarint(&mut out, session);
-    put_uvarint(
-        &mut out,
-        if bypass_cache {
-            CERTIFY_FLAG_BYPASS_CACHE
-        } else {
-            0
-        },
-    );
-    encode_extensions(&mut out, scheme);
-    out
-}
-
-/// Frame body of a GraphChunk request:
-/// `session ‖ seq ‖ uvarint(len) ‖ payload ‖ crc32_le(payload)`.
-pub fn encode_chunk_request(session: u64, seq: u64, payload: &[u8]) -> Vec<u8> {
-    debug_assert!(payload.len() <= MAX_CHUNK_BYTES);
-    let mut out = Vec::with_capacity(payload.len() + 32);
-    put_uvarint(&mut out, REQ_CHUNK);
-    put_uvarint(&mut out, session);
-    put_uvarint(&mut out, seq);
-    put_uvarint(&mut out, payload.len() as u64);
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out
-}
-
-/// Frame body of a GraphChunkEnd request.
-pub fn encode_chunk_end_request(
-    session: u64,
-    total_chunks: u64,
-    total_bytes: u64,
-    crc: u32,
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_uvarint(&mut out, REQ_CHUNK_END);
-    put_uvarint(&mut out, session);
-    put_uvarint(&mut out, total_chunks);
-    put_uvarint(&mut out, total_bytes);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
-/// Frame body of an InteractiveBegin request: Merlin's opening move
-/// (session, seed, graph, commitment), built straight from borrows so
-/// the commitment assignment is never cloned.
-pub fn encode_interactive_begin_request(
-    session: u64,
-    seed: u64,
-    graph: &Graph,
-    commit: &Assignment,
-    scheme: SchemeId,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(commit.byte_size() + 64);
-    put_uvarint(&mut out, REQ_INTERACTIVE_BEGIN);
-    put_uvarint(&mut out, session);
-    put_uvarint(&mut out, seed);
-    encode_graph(&mut out, graph);
-    commit.encode_into(&mut out);
-    encode_extensions(&mut out, scheme);
-    out
-}
-
-/// Frame body of an InteractiveRespond request (round 3: Merlin
-/// opens the committed structure against the challenge).
-pub fn encode_interactive_respond_request(session: u64, response: &Assignment) -> Vec<u8> {
-    let mut out = Vec::with_capacity(response.byte_size() + 16);
-    put_uvarint(&mut out, REQ_INTERACTIVE_RESPOND);
-    put_uvarint(&mut out, session);
-    response.encode_into(&mut out);
-    out
-}
-
-/// Frame body of an Audit request.
-pub fn encode_audit_request(samples: u64, seed: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_uvarint(&mut out, REQ_AUDIT);
-    put_uvarint(&mut out, samples);
-    put_uvarint(&mut out, seed);
-    out
-}
-
-fn certify_body(graph: &Graph, flags: u64, scheme: SchemeId) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_uvarint(&mut out, REQ_CERTIFY);
-    put_uvarint(&mut out, flags);
-    encode_graph(&mut out, graph);
-    encode_extensions(&mut out, scheme);
-    out
-}
-
-/// Frame body of a Check request.
-pub fn encode_check_request(graph: &Graph, scheme: SchemeId) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_uvarint(&mut out, REQ_CHECK);
-    encode_graph(&mut out, graph);
-    encode_extensions(&mut out, scheme);
-    out
-}
-
-/// Frame body of a Gen request.
-pub fn encode_gen_request(family: &str, n: u32, seed: u64, scheme: SchemeId) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_uvarint(&mut out, REQ_GEN);
-    encode_string(&mut out, family);
-    put_uvarint(&mut out, n as u64);
-    put_uvarint(&mut out, seed);
-    encode_extensions(&mut out, scheme);
-    out
-}
-
-/// Frame body of a SoundnessProbe request.
-pub fn encode_soundness_request(graph: &Graph, seed: u64, scheme: SchemeId) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_uvarint(&mut out, REQ_SOUNDNESS);
-    put_uvarint(&mut out, seed);
-    encode_graph(&mut out, graph);
-    encode_extensions(&mut out, scheme);
-    out
-}
-
-/// Frame body of a Stats request.
-pub fn encode_stats_request() -> Vec<u8> {
-    let mut out = Vec::new();
-    put_uvarint(&mut out, REQ_STATS);
-    out
-}
-
-/// Frame body of a SlowLog request.
-pub fn encode_slowlog_request() -> Vec<u8> {
-    let mut out = Vec::new();
-    put_uvarint(&mut out, REQ_SLOWLOG);
-    out
-}
-
-/// Frame body of a StoreList request.
-pub fn encode_store_list_request() -> Vec<u8> {
-    let mut out = Vec::new();
-    put_uvarint(&mut out, REQ_STORELIST);
-    out
-}
-
-/// Frame body of a StorePush request: a record count, then each
-/// record as `uvarint(body_len) ‖ body ‖ crc32_le(body)` where `body`
-/// is [`StoreRecord::encode_body`]'s framing. The CRC guards the
-/// certificate bytes in transit exactly like the segment files guard
-/// them at rest.
-pub fn encode_store_push_request(records: &[StoreRecord]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_uvarint(&mut out, REQ_STOREPUSH);
-    put_uvarint(&mut out, records.len() as u64);
-    for record in records {
-        let body = record.encode_body();
-        put_uvarint(&mut out, body.len() as u64);
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-    }
-    out
-}
-
-impl Request {
-    /// Encodes the request as a frame body.
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
-            Request::Certify {
-                graph,
-                bypass_cache,
-                cached_only,
-                summary,
-                scheme,
-            } => {
-                let mut flags = 0;
-                if *bypass_cache {
-                    flags |= CERTIFY_FLAG_BYPASS_CACHE;
-                }
-                if *cached_only {
-                    flags |= CERTIFY_FLAG_CACHED_ONLY;
-                }
-                if *summary {
-                    flags |= CERTIFY_FLAG_SUMMARY;
-                }
-                certify_body(graph, flags, *scheme)
-            }
-            Request::Check { graph, scheme } => encode_check_request(graph, *scheme),
-            Request::Gen {
-                family,
-                n,
-                seed,
-                scheme,
-            } => encode_gen_request(family, *n, *seed, *scheme),
-            Request::SoundnessProbe {
-                graph,
-                seed,
-                scheme,
-            } => encode_soundness_request(graph, *seed, *scheme),
-            Request::Stats => encode_stats_request(),
-            Request::SlowLog => encode_slowlog_request(),
-            Request::StoreList => encode_store_list_request(),
-            Request::StorePush { records } => encode_store_push_request(records),
-            Request::GraphChunkBegin {
-                session,
-                bypass_cache,
-                scheme,
-            } => encode_chunk_begin_request(*session, *bypass_cache, *scheme),
-            Request::GraphChunk {
-                session,
-                seq,
-                payload,
-            } => encode_chunk_request(*session, *seq, payload),
-            Request::GraphChunkEnd {
-                session,
-                total_chunks,
-                total_bytes,
-                crc,
-            } => encode_chunk_end_request(*session, *total_chunks, *total_bytes, *crc),
-            Request::InteractiveBegin {
-                session,
-                seed,
-                graph,
-                commit,
-                scheme,
-            } => encode_interactive_begin_request(*session, *seed, graph, commit, *scheme),
-            Request::InteractiveRespond { session, response } => {
-                encode_interactive_respond_request(*session, response)
-            }
-            Request::Audit { samples, seed } => encode_audit_request(*samples, *seed),
-        }
-    }
-
-    /// Decodes a frame body; the whole body must be consumed.
-    pub fn decode(body: &[u8]) -> Result<Request, WireError> {
-        let mut buf = body;
-        let req = match get_uvarint(&mut buf)? {
-            REQ_CERTIFY => {
-                let flags = get_uvarint(&mut buf)?;
-                let known =
-                    CERTIFY_FLAG_BYPASS_CACHE | CERTIFY_FLAG_CACHED_ONLY | CERTIFY_FLAG_SUMMARY;
-                if flags & !known != 0 {
-                    return Err(protocol(format!("unknown certify flags {flags:#x}")));
-                }
-                if flags & CERTIFY_FLAG_CACHED_ONLY != 0
-                    && flags & (CERTIFY_FLAG_BYPASS_CACHE | CERTIFY_FLAG_SUMMARY) != 0
-                {
-                    // "only the cache" contradicts both "skip the
-                    // cache" and the prove-components summary mode
-                    return Err(protocol("contradictory certify flags"));
-                }
-                Request::Certify {
-                    bypass_cache: flags & CERTIFY_FLAG_BYPASS_CACHE != 0,
-                    cached_only: flags & CERTIFY_FLAG_CACHED_ONLY != 0,
-                    summary: flags & CERTIFY_FLAG_SUMMARY != 0,
-                    graph: decode_graph(&mut buf)?,
-                    scheme: decode_extensions(&mut buf)?,
-                }
-            }
-            REQ_CHECK => Request::Check {
-                graph: decode_graph(&mut buf)?,
-                scheme: decode_extensions(&mut buf)?,
-            },
-            REQ_GEN => Request::Gen {
-                family: decode_string(&mut buf)?,
-                n: get_uvarint(&mut buf)? as u32,
-                seed: get_uvarint(&mut buf)?,
-                scheme: decode_extensions(&mut buf)?,
-            },
-            REQ_SOUNDNESS => {
-                let seed = get_uvarint(&mut buf)?;
-                Request::SoundnessProbe {
-                    seed,
-                    graph: decode_graph(&mut buf)?,
-                    scheme: decode_extensions(&mut buf)?,
-                }
-            }
-            REQ_STATS => Request::Stats,
-            REQ_SLOWLOG => Request::SlowLog,
-            REQ_STORELIST => Request::StoreList,
-            REQ_STOREPUSH => {
-                let count = get_uvarint(&mut buf)?;
-                // the smallest record is ~8 bytes (1-byte length, a
-                // 3-byte body, 4 CRC bytes), so a hostile count is
-                // rejected before any allocation
-                if count > buf.len() as u64 / 8 {
-                    return Err(protocol("store push longer than the frame"));
-                }
-                let mut records = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    let len = get_uvarint(&mut buf)? as usize;
-                    if len > buf.len() {
-                        return Err(protocol("store record longer than the frame"));
-                    }
-                    let body = get_bytes(&mut buf, len)?;
-                    let crc = u32::from_le_bytes(
-                        get_bytes(&mut buf, 4)?
-                            .try_into()
-                            .expect("get_bytes returned 4 bytes"),
-                    );
-                    if crc32(body) != crc {
-                        return Err(protocol("store record failed its CRC check"));
-                    }
-                    let record = StoreRecord::decode_body(body)
-                        .map_err(|e| protocol(format!("bad store record: {e}")))?;
-                    records.push(record);
-                }
-                Request::StorePush { records }
-            }
-            REQ_CHUNK_BEGIN => {
-                let session = get_uvarint(&mut buf)?;
-                let flags = get_uvarint(&mut buf)?;
-                if flags & !CERTIFY_FLAG_BYPASS_CACHE != 0 {
-                    return Err(protocol(format!("unknown chunk-begin flags {flags:#x}")));
-                }
-                Request::GraphChunkBegin {
-                    session,
-                    bypass_cache: flags & CERTIFY_FLAG_BYPASS_CACHE != 0,
-                    scheme: decode_extensions(&mut buf)?,
-                }
-            }
-            REQ_CHUNK => {
-                let session = get_uvarint(&mut buf)?;
-                let seq = get_uvarint(&mut buf)?;
-                let len = get_uvarint(&mut buf)? as usize;
-                if len > MAX_CHUNK_BYTES {
-                    return Err(protocol(format!("chunk of {len} bytes exceeds the limit")));
-                }
-                if len > buf.len() {
-                    return Err(protocol("chunk payload longer than the frame"));
-                }
-                let payload = get_bytes(&mut buf, len)?;
-                let crc = u32::from_le_bytes(
-                    get_bytes(&mut buf, 4)?
-                        .try_into()
-                        .expect("get_bytes returned 4 bytes"),
-                );
-                if crc32(payload) != crc {
-                    return Err(protocol("graph chunk failed its CRC check"));
-                }
-                Request::GraphChunk {
-                    session,
-                    seq,
-                    payload: payload.to_vec(),
-                }
-            }
-            REQ_CHUNK_END => {
-                let session = get_uvarint(&mut buf)?;
-                let total_chunks = get_uvarint(&mut buf)?;
-                let total_bytes = get_uvarint(&mut buf)?;
-                let crc = u32::from_le_bytes(
-                    get_bytes(&mut buf, 4)?
-                        .try_into()
-                        .expect("get_bytes returned 4 bytes"),
-                );
-                Request::GraphChunkEnd {
-                    session,
-                    total_chunks,
-                    total_bytes,
-                    crc,
-                }
-            }
-            REQ_INTERACTIVE_BEGIN => {
-                let session = get_uvarint(&mut buf)?;
-                let seed = get_uvarint(&mut buf)?;
-                let graph = decode_graph(&mut buf)?;
-                let commit = Assignment::decode_from(&mut buf)?;
-                if commit.certs.len() != graph.node_count() {
-                    return Err(protocol(format!(
-                        "commitment for {} nodes on a {}-node graph",
-                        commit.certs.len(),
-                        graph.node_count()
-                    )));
-                }
-                Request::InteractiveBegin {
-                    session,
-                    seed,
-                    graph,
-                    commit,
-                    scheme: decode_extensions(&mut buf)?,
-                }
-            }
-            REQ_INTERACTIVE_RESPOND => Request::InteractiveRespond {
-                session: get_uvarint(&mut buf)?,
-                response: Assignment::decode_from(&mut buf)?,
-            },
-            REQ_AUDIT => Request::Audit {
-                samples: get_uvarint(&mut buf)?,
-                seed: get_uvarint(&mut buf)?,
-            },
-            k => return Err(protocol(format!("unknown request kind {k}"))),
-        };
-        if !buf.is_empty() {
-            return Err(protocol(format!("{} trailing bytes", buf.len())));
-        }
-        Ok(req)
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Responses.
 
-/// Verdict of a Check request.
-///
-/// Planarity checks (the scheme-0 default) return the rich
-/// embedding/witness verdicts; every other registered scheme answers
-/// with the generic membership pair.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CheckVerdict {
+wire_kinds! {
+    /// Verdict of a Check request.
+    ///
+    /// Planarity checks (the scheme-0 default) return the rich
+    /// embedding/witness verdicts; every other registered scheme answers
+    /// with the generic membership pair.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum CheckVerdict, kind CheckVerdictKind, "check verdict";
+
     /// Planar, with the certified embedding's face count and genus.
-    Planar {
+    1 Planar "planar" {
         /// Number of faces of the embedding.
         faces: u64,
         /// Euler genus (0 for a certified planar embedding).
         genus: i64,
     },
     /// Non-planar, with the Kuratowski witness summary.
-    NonPlanar {
+    0 NonPlanar "nonplanar" {
         /// True for a K5 subdivision, false for K3,3.
         k5: bool,
         /// Branch nodes of the subdivision.
-        branch_nodes: Vec<u32>,
+        branch_nodes: Vec<u32> as List<u32, 6>,
         /// Number of edges of the subdivision.
         witness_edges: u64,
     },
     /// In the class of the (non-planarity) scheme named here.
-    Member {
+    2 Member "member" {
         /// Scheme name, echoed by the server.
         scheme: String,
     },
     /// Outside the class of the scheme named here.
-    NonMember {
+    3 NonMember "nonmember" {
         /// Scheme name, echoed by the server.
         scheme: String,
         /// The prover's refusal reason.
@@ -1271,13 +1371,20 @@ pub struct SoundnessLine {
     pub rejects: Option<u64>,
 }
 
-/// A server response.
-#[derive(Debug, Clone)]
-pub enum Response {
+/// Upper bound on slow-log rows accepted on decode (well above
+/// [`crate::metrics::SLOW_LOG_CAP`], leaving room for future
+/// fleet-side aggregation).
+const MAX_SLOWLOG_ROWS: usize = 4096;
+
+wire_kinds! {
+    /// A server response.
+    #[derive(Debug, Clone)]
+    enum Response, kind ResponseKind, "response kind";
+
     /// The request failed (malformed input, unknown family, ...).
-    Error(String),
+    0 Error "error" (message: String),
     /// Certificates for a yes-instance.
-    Certified {
+    1 Certified "certified" {
         /// True when served from the certificate cache.
         cached: bool,
         /// Measured verification outcome.
@@ -1286,27 +1393,27 @@ pub enum Response {
         assignment: Assignment,
     },
     /// The honest prover declined: the instance is outside the class.
-    Declined {
+    2 Declined "declined" {
         /// True when the (negative) result was served from cache.
         cached: bool,
         /// The prover's reason.
         reason: String,
     },
     /// Planarity verdict.
-    Checked(CheckVerdict),
+    3 Checked "checked" (verdict: CheckVerdict),
     /// A generated graph.
-    Generated(Graph),
+    4 Generated "generated" (graph: Graph),
     /// Soundness probe rows.
-    Soundness(Vec<SoundnessLine>),
+    5 Soundness "soundness" (rows: Vec<SoundnessLine> as List<SoundnessLine, 1024>),
     /// Server counters (boxed: the snapshot dwarfs every other variant).
-    Stats(Box<StatsSnapshot>),
+    6 Stats "stats" (snapshot: Box<StatsSnapshot>),
     /// Retained slow-request entries, newest first.
-    SlowLog(Vec<SlowLogEntry>),
+    7 SlowLog "slowlog" (entries: Vec<SlowLogEntry> as List<SlowLogEntry, MAX_SLOWLOG_ROWS>),
     /// The content-key digests of the server's store (StoreList
     /// answer): 128-bit keys, one per retained record.
-    StoreKeys(Vec<u128>),
+    8 StoreKeys "storekeys" (keys: Vec<u128> as List<u128>),
     /// Outcome of a StorePush.
-    StorePushed {
+    9 StorePushed "storepushed" {
         /// Records newly absorbed into the store.
         merged: u64,
         /// Records already present (deduplicated by content key).
@@ -1314,14 +1421,14 @@ pub enum Response {
     },
     /// A summary-mode certify answer: the measured outcome without
     /// the assignment, so the frame stays small for giant graphs.
-    CertifiedSummary {
+    10 CertifiedSummary "summary" {
         /// True when served from the certificate cache.
         cached: bool,
         /// Measured (possibly component-merged) verification outcome.
         outcome: Outcome,
     },
     /// Acknowledges a `GraphChunkBegin` or `GraphChunk` frame.
-    ChunkAck {
+    11 ChunkAck "chunkack" {
         /// The session the ack belongs to.
         session: u64,
         /// Chunks received in the session so far (0 for the Begin ack).
@@ -1331,7 +1438,7 @@ pub enum Response {
     /// coin is `challenge_from_seed(seed)` — a pure function of the
     /// session seed, never server randomness — so the transcript is
     /// reproducible and byte-identical across front ends.
-    Challenge {
+    12 Challenge "challenge" {
         /// The session the challenge belongs to.
         session: u64,
         /// The public coin every node's verifier sees.
@@ -1339,7 +1446,7 @@ pub enum Response {
     },
     /// The closing verdict of an interactive session, answering an
     /// `InteractiveRespond`.
-    Verdict {
+    13 Verdict "verdict" {
         /// The session the verdict closes.
         session: u64,
         /// The challenge the response was verified against (echoed).
@@ -1360,7 +1467,7 @@ pub enum Response {
         soundness_ppm: u64,
     },
     /// Outcome of one randomized store-audit sweep (Audit answer).
-    AuditReport {
+    14 AuditReport "auditreport" {
         /// Records sampled by the sweep.
         sampled: u64,
         /// Records that failed re-verification or the fingerprint
@@ -1371,26 +1478,9 @@ pub enum Response {
     },
 }
 
-const RESP_ERROR: u64 = 0;
-const RESP_CERTIFIED: u64 = 1;
-const RESP_DECLINED: u64 = 2;
-const RESP_CHECKED: u64 = 3;
-const RESP_GENERATED: u64 = 4;
-const RESP_SOUNDNESS: u64 = 5;
-const RESP_STATS: u64 = 6;
-const RESP_SLOWLOG: u64 = 7;
-const RESP_STOREKEYS: u64 = 8;
-const RESP_STOREPUSHED: u64 = 9;
-const RESP_CERTIFIED_SUMMARY: u64 = 10;
-const RESP_CHUNK_ACK: u64 = 11;
-const RESP_CHALLENGE: u64 = 12;
-const RESP_VERDICT: u64 = 13;
-const RESP_AUDIT_REPORT: u64 = 14;
-
-/// Upper bound on slow-log rows accepted on decode (well above
-/// [`crate::metrics::SLOW_LOG_CAP`], leaving room for future
-/// fleet-side aggregation).
-const MAX_SLOWLOG_ROWS: usize = 4096;
+// The certify-hit path: a cache entry holds the encoded tail of its
+// response, so a hit answers with a tag, a `cached` flag and a memcpy,
+// never a re-encode of the certificates.
 
 /// Encodes the cacheable suffix of a Certified response (outcome +
 /// assignment). The cache stores exactly these bytes, so a hit is a
@@ -1404,11 +1494,7 @@ pub fn encode_certified_suffix(outcome: &Outcome, assignment: &Assignment) -> Ve
 
 /// Builds a full Certified frame body from a pre-encoded suffix.
 pub fn certified_body_from_suffix(cached: bool, suffix: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(suffix.len() + 2);
-    put_uvarint(&mut out, RESP_CERTIFIED);
-    put_uvarint(&mut out, cached as u64);
-    out.extend_from_slice(suffix);
-    out
+    body_from_suffix(ResponseKind::Certified, cached, suffix)
 }
 
 /// Encodes the cacheable suffix of a Declined response (the reason
@@ -1416,17 +1502,13 @@ pub fn certified_body_from_suffix(cached: bool, suffix: &[u8]) -> Vec<u8> {
 /// [`encode_certified_suffix`].
 pub fn encode_declined_suffix(reason: &str) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_string(&mut out, reason);
+    String::put(&mut out, reason);
     out
 }
 
 /// Builds a full Declined frame body from a pre-encoded suffix.
 pub fn declined_body_from_suffix(cached: bool, suffix: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(suffix.len() + 2);
-    put_uvarint(&mut out, RESP_DECLINED);
-    put_uvarint(&mut out, cached as u64);
-    out.extend_from_slice(suffix);
-    out
+    body_from_suffix(ResponseKind::Declined, cached, suffix)
 }
 
 /// Builds a CertifiedSummary frame body from a cached Certified
@@ -1437,289 +1519,16 @@ pub fn declined_body_from_suffix(cached: bool, suffix: &[u8]) -> Vec<u8> {
 pub fn summary_body_from_suffix(cached: bool, suffix: &[u8]) -> Result<Vec<u8>, WireError> {
     let mut rest = suffix;
     let outcome = Outcome::decode_from(&mut rest)?;
-    let mut out = Vec::new();
-    put_uvarint(&mut out, RESP_CERTIFIED_SUMMARY);
-    put_uvarint(&mut out, cached as u64);
-    outcome.encode_into(&mut out);
-    Ok(out)
+    Ok(Response::CertifiedSummary { cached, outcome }.encode())
 }
 
-impl Response {
-    /// Encodes the response as a frame body.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            Response::Error(msg) => {
-                put_uvarint(&mut out, RESP_ERROR);
-                encode_string(&mut out, msg);
-            }
-            Response::Certified {
-                cached,
-                outcome,
-                assignment,
-            } => {
-                return certified_body_from_suffix(
-                    *cached,
-                    &encode_certified_suffix(outcome, assignment),
-                );
-            }
-            Response::Declined { cached, reason } => {
-                return declined_body_from_suffix(*cached, &encode_declined_suffix(reason));
-            }
-            Response::Checked(verdict) => {
-                put_uvarint(&mut out, RESP_CHECKED);
-                match verdict {
-                    CheckVerdict::Planar { faces, genus } => {
-                        put_uvarint(&mut out, 1);
-                        put_uvarint(&mut out, *faces);
-                        put_uvarint(&mut out, *genus as u64);
-                    }
-                    CheckVerdict::NonPlanar {
-                        k5,
-                        branch_nodes,
-                        witness_edges,
-                    } => {
-                        put_uvarint(&mut out, 0);
-                        put_uvarint(&mut out, *k5 as u64);
-                        put_uvarint(&mut out, branch_nodes.len() as u64);
-                        for &b in branch_nodes {
-                            put_uvarint(&mut out, b as u64);
-                        }
-                        put_uvarint(&mut out, *witness_edges);
-                    }
-                    CheckVerdict::Member { scheme } => {
-                        put_uvarint(&mut out, 2);
-                        encode_string(&mut out, scheme);
-                    }
-                    CheckVerdict::NonMember { scheme, reason } => {
-                        put_uvarint(&mut out, 3);
-                        encode_string(&mut out, scheme);
-                        encode_string(&mut out, reason);
-                    }
-                }
-            }
-            Response::Generated(g) => {
-                put_uvarint(&mut out, RESP_GENERATED);
-                encode_graph(&mut out, g);
-            }
-            Response::Soundness(rows) => {
-                put_uvarint(&mut out, RESP_SOUNDNESS);
-                put_uvarint(&mut out, rows.len() as u64);
-                for row in rows {
-                    encode_string(&mut out, &row.attack);
-                    match row.rejects {
-                        None => put_uvarint(&mut out, 0),
-                        Some(r) => put_uvarint(&mut out, 1 + r),
-                    }
-                }
-            }
-            Response::Stats(snapshot) => {
-                put_uvarint(&mut out, RESP_STATS);
-                snapshot.encode_into(&mut out);
-            }
-            Response::SlowLog(entries) => {
-                put_uvarint(&mut out, RESP_SLOWLOG);
-                put_uvarint(&mut out, entries.len() as u64);
-                for entry in entries {
-                    entry.encode_into(&mut out);
-                }
-            }
-            Response::StoreKeys(keys) => {
-                put_uvarint(&mut out, RESP_STOREKEYS);
-                put_uvarint(&mut out, keys.len() as u64);
-                for key in keys {
-                    out.extend_from_slice(&key.to_le_bytes());
-                }
-            }
-            Response::StorePushed { merged, duplicates } => {
-                put_uvarint(&mut out, RESP_STOREPUSHED);
-                put_uvarint(&mut out, *merged);
-                put_uvarint(&mut out, *duplicates);
-            }
-            Response::CertifiedSummary { cached, outcome } => {
-                put_uvarint(&mut out, RESP_CERTIFIED_SUMMARY);
-                put_uvarint(&mut out, *cached as u64);
-                outcome.encode_into(&mut out);
-            }
-            Response::ChunkAck { session, received } => {
-                put_uvarint(&mut out, RESP_CHUNK_ACK);
-                put_uvarint(&mut out, *session);
-                put_uvarint(&mut out, *received);
-            }
-            Response::Challenge { session, challenge } => {
-                put_uvarint(&mut out, RESP_CHALLENGE);
-                put_uvarint(&mut out, *session);
-                put_uvarint(&mut out, *challenge);
-            }
-            Response::Verdict {
-                session,
-                challenge,
-                accept,
-                reject_count,
-                nodes,
-                max_commit_bits,
-                max_response_bits,
-                soundness_ppm,
-            } => {
-                put_uvarint(&mut out, RESP_VERDICT);
-                put_uvarint(&mut out, *session);
-                put_uvarint(&mut out, *challenge);
-                put_uvarint(&mut out, *accept as u64);
-                put_uvarint(&mut out, *reject_count);
-                put_uvarint(&mut out, *nodes);
-                put_uvarint(&mut out, *max_commit_bits);
-                put_uvarint(&mut out, *max_response_bits);
-                put_uvarint(&mut out, *soundness_ppm);
-            }
-            Response::AuditReport {
-                sampled,
-                failed,
-                quarantined,
-            } => {
-                put_uvarint(&mut out, RESP_AUDIT_REPORT);
-                put_uvarint(&mut out, *sampled);
-                put_uvarint(&mut out, *failed);
-                put_uvarint(&mut out, *quarantined);
-            }
-        }
-        out
-    }
-
-    /// Decodes a frame body; the whole body must be consumed.
-    pub fn decode(body: &[u8]) -> Result<Response, WireError> {
-        let mut buf = body;
-        let resp = match get_uvarint(&mut buf)? {
-            RESP_ERROR => Response::Error(decode_string(&mut buf)?),
-            RESP_CERTIFIED => {
-                let cached = get_uvarint(&mut buf)? != 0;
-                let outcome = Outcome::decode_from(&mut buf)?;
-                let assignment = Assignment::decode_from(&mut buf)?;
-                Response::Certified {
-                    cached,
-                    outcome,
-                    assignment,
-                }
-            }
-            RESP_DECLINED => Response::Declined {
-                cached: get_uvarint(&mut buf)? != 0,
-                reason: decode_string(&mut buf)?,
-            },
-            RESP_CHECKED => {
-                let verdict = match get_uvarint(&mut buf)? {
-                    1 => CheckVerdict::Planar {
-                        faces: get_uvarint(&mut buf)?,
-                        genus: get_uvarint(&mut buf)? as i64,
-                    },
-                    0 => {
-                        let k5 = get_uvarint(&mut buf)? != 0;
-                        let count = get_uvarint(&mut buf)? as usize;
-                        if count > 6 {
-                            return Err(protocol("too many branch nodes"));
-                        }
-                        let mut branch_nodes = Vec::with_capacity(count);
-                        for _ in 0..count {
-                            branch_nodes.push(get_uvarint(&mut buf)? as u32);
-                        }
-                        CheckVerdict::NonPlanar {
-                            k5,
-                            branch_nodes,
-                            witness_edges: get_uvarint(&mut buf)?,
-                        }
-                    }
-                    2 => CheckVerdict::Member {
-                        scheme: decode_string(&mut buf)?,
-                    },
-                    3 => CheckVerdict::NonMember {
-                        scheme: decode_string(&mut buf)?,
-                        reason: decode_string(&mut buf)?,
-                    },
-                    v => return Err(protocol(format!("unknown check verdict {v}"))),
-                };
-                Response::Checked(verdict)
-            }
-            RESP_GENERATED => Response::Generated(decode_graph(&mut buf)?),
-            RESP_SOUNDNESS => {
-                let count = get_uvarint(&mut buf)? as usize;
-                if count > 1024 {
-                    return Err(protocol("too many soundness rows"));
-                }
-                let mut rows = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let attack = decode_string(&mut buf)?;
-                    let rejects = match get_uvarint(&mut buf)? {
-                        0 => None,
-                        r => Some(r - 1),
-                    };
-                    rows.push(SoundnessLine { attack, rejects });
-                }
-                Response::Soundness(rows)
-            }
-            RESP_STATS => Response::Stats(Box::new(StatsSnapshot::decode_from(&mut buf)?)),
-            RESP_SLOWLOG => {
-                let count = get_uvarint(&mut buf)? as usize;
-                if count > MAX_SLOWLOG_ROWS {
-                    return Err(protocol("too many slow-log rows"));
-                }
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    entries.push(SlowLogEntry::decode_from(&mut buf)?);
-                }
-                Response::SlowLog(entries)
-            }
-            RESP_STOREKEYS => {
-                let count = get_uvarint(&mut buf)?;
-                // each key is exactly 16 bytes, so the count is
-                // bounded by the remaining frame before allocating
-                if count > buf.len() as u64 / 16 {
-                    return Err(protocol("key list longer than the frame"));
-                }
-                let mut keys = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    let raw = get_bytes(&mut buf, 16)?;
-                    keys.push(u128::from_le_bytes(
-                        raw.try_into().expect("get_bytes returned 16 bytes"),
-                    ));
-                }
-                Response::StoreKeys(keys)
-            }
-            RESP_STOREPUSHED => Response::StorePushed {
-                merged: get_uvarint(&mut buf)?,
-                duplicates: get_uvarint(&mut buf)?,
-            },
-            RESP_CERTIFIED_SUMMARY => Response::CertifiedSummary {
-                cached: get_uvarint(&mut buf)? != 0,
-                outcome: Outcome::decode_from(&mut buf)?,
-            },
-            RESP_CHUNK_ACK => Response::ChunkAck {
-                session: get_uvarint(&mut buf)?,
-                received: get_uvarint(&mut buf)?,
-            },
-            RESP_CHALLENGE => Response::Challenge {
-                session: get_uvarint(&mut buf)?,
-                challenge: get_uvarint(&mut buf)?,
-            },
-            RESP_VERDICT => Response::Verdict {
-                session: get_uvarint(&mut buf)?,
-                challenge: get_uvarint(&mut buf)?,
-                accept: get_uvarint(&mut buf)? != 0,
-                reject_count: get_uvarint(&mut buf)?,
-                nodes: get_uvarint(&mut buf)?,
-                max_commit_bits: get_uvarint(&mut buf)?,
-                max_response_bits: get_uvarint(&mut buf)?,
-                soundness_ppm: get_uvarint(&mut buf)?,
-            },
-            RESP_AUDIT_REPORT => Response::AuditReport {
-                sampled: get_uvarint(&mut buf)?,
-                failed: get_uvarint(&mut buf)?,
-                quarantined: get_uvarint(&mut buf)?,
-            },
-            k => return Err(protocol(format!("unknown response kind {k}"))),
-        };
-        if !buf.is_empty() {
-            return Err(protocol(format!("{} trailing bytes", buf.len())));
-        }
-        Ok(resp)
-    }
+/// `kind ‖ cached ‖ suffix`: the layout all three certify answers share.
+fn body_from_suffix(kind: ResponseKind, cached: bool, suffix: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(suffix.len() + 2);
+    put_uvarint(&mut out, kind as u64);
+    put_uvarint(&mut out, cached as u64);
+    out.extend_from_slice(suffix);
+    out
 }
 
 /// Structural graph equality (nodes, canonical edges, identifiers) —
@@ -1734,6 +1543,22 @@ pub fn graphs_equal(a: &Graph, b: &Graph) -> bool {
 mod tests {
     use super::*;
     use dpc_graph::generators;
+
+    /// A Certify body under `scheme` with only the flags named set.
+    fn certify(graph: &Graph, bypass_cache: bool, summary: bool, scheme: SchemeId) -> Vec<u8> {
+        RequestRef::Certify {
+            bypass_cache,
+            cached_only: false,
+            summary,
+            graph,
+            scheme,
+        }
+        .encode()
+    }
+
+    fn check(graph: &Graph, scheme: SchemeId) -> Vec<u8> {
+        RequestRef::Check { graph, scheme }.encode()
+    }
 
     #[test]
     fn frame_roundtrip() {
@@ -1822,7 +1647,7 @@ mod tests {
             scheme: SchemeId::PLANARITY,
         };
         let body = req.encode();
-        assert_eq!(body[0] as u64, REQ_CERTIFY);
+        assert_eq!(body[0], RequestKind::Certify as u8);
         match Request::decode(&body).unwrap() {
             Request::Certify {
                 bypass_cache: true, ..
@@ -1836,14 +1661,34 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_u32_fields_are_rejected() {
+        // a Gen for 2^32 + 9 nodes must not decode as a 9-node one
+        let mut gen = Vec::new();
+        put_uvarint(&mut gen, RequestKind::Gen as u64);
+        String::put(&mut gen, "grid");
+        put_uvarint(&mut gen, (1 << 32) + 9);
+        put_uvarint(&mut gen, 1);
+        assert!(Request::decode(&gen).is_err());
+        // nor a Checked branch node past u32::MAX as a small one
+        let mut checked = Vec::new();
+        put_uvarint(&mut checked, ResponseKind::Checked as u64);
+        put_uvarint(&mut checked, CheckVerdictKind::NonPlanar as u64);
+        put_uvarint(&mut checked, 1); // k5
+        put_uvarint(&mut checked, 1); // one branch node
+        put_uvarint(&mut checked, u32::MAX as u64 + 1);
+        put_uvarint(&mut checked, 10); // witness edges
+        assert!(Response::decode(&checked).is_err());
+    }
+
+    #[test]
     fn scheme_id_rides_the_extension_block() {
         let g = generators::cycle(6);
         // default scheme: byte-identical to the v1 encoding (no block)
-        let v1 = encode_certify_request(&g, false, SchemeId::PLANARITY);
+        let v1 = certify(&g, false, false, SchemeId::PLANARITY);
         let req = Request::decode(&v1).unwrap();
         assert_eq!(req.scheme(), Some(SchemeId::PLANARITY));
         // explicit scheme: a trailing block old planarity bytes lack
-        let v2 = encode_certify_request(&g, false, SchemeId::BIPARTITE);
+        let v2 = certify(&g, false, false, SchemeId::BIPARTITE);
         assert_eq!(&v2[..v1.len()], &v1[..], "extension is strictly trailing");
         assert_eq!(
             Request::decode(&v2).unwrap().scheme(),
@@ -1851,9 +1696,20 @@ mod tests {
         );
         // every graph-carrying kind round-trips its scheme
         for body in [
-            encode_check_request(&g, SchemeId::TREE),
-            encode_gen_request("grid", 9, 1, SchemeId::SPANNING_TREE),
-            encode_soundness_request(&g, 7, SchemeId::MOD_COUNTER),
+            check(&g, SchemeId::TREE),
+            RequestRef::Gen {
+                family: "grid",
+                n: 9,
+                seed: 1,
+                scheme: SchemeId::SPANNING_TREE,
+            }
+            .encode(),
+            RequestRef::SoundnessProbe {
+                seed: 7,
+                graph: &g,
+                scheme: SchemeId::MOD_COUNTER,
+            }
+            .encode(),
         ] {
             let req = Request::decode(&body).unwrap();
             assert_ne!(req.scheme(), Some(SchemeId::PLANARITY));
@@ -1863,7 +1719,7 @@ mod tests {
     #[test]
     fn unknown_extensions_are_skipped_malformed_rejected() {
         let g = generators::path(3);
-        let mut body = encode_check_request(&g, SchemeId::PLANARITY);
+        let mut body = check(&g, SchemeId::PLANARITY);
         // unknown extension tag 99 with a 2-byte payload: skipped
         put_uvarint(&mut body, 99);
         put_uvarint(&mut body, 2);
@@ -1878,14 +1734,14 @@ mod tests {
         );
 
         // duplicate scheme-id extension: protocol error
-        let mut dup = encode_check_request(&g, SchemeId::BIPARTITE);
+        let mut dup = check(&g, SchemeId::BIPARTITE);
         put_uvarint(&mut dup, EXT_SCHEME_ID);
         put_uvarint(&mut dup, 1);
         put_uvarint(&mut dup, 2);
         assert!(Request::decode(&dup).is_err());
 
         // out-of-range scheme id: protocol error
-        let mut big = encode_check_request(&g, SchemeId::PLANARITY);
+        let mut big = check(&g, SchemeId::PLANARITY);
         put_uvarint(&mut big, EXT_SCHEME_ID);
         let mut payload = Vec::new();
         put_uvarint(&mut payload, u16::MAX as u64 + 1);
@@ -1894,7 +1750,7 @@ mod tests {
         assert!(Request::decode(&big).is_err());
 
         // truncated extension: error, not a panic
-        let mut cut = encode_check_request(&g, SchemeId::PLANARITY);
+        let mut cut = check(&g, SchemeId::PLANARITY);
         put_uvarint(&mut cut, EXT_SCHEME_ID);
         put_uvarint(&mut cut, 5); // promises 5 payload bytes, has none
         assert!(Request::decode(&cut).is_err());
@@ -1902,16 +1758,20 @@ mod tests {
 
     #[test]
     fn slowlog_frames_roundtrip() {
-        let body = encode_slowlog_request();
-        assert_eq!(body, vec![REQ_SLOWLOG as u8], "bare one-byte request");
+        let body = RequestRef::SlowLog.encode();
+        assert_eq!(
+            body,
+            vec![RequestKind::SlowLog as u8],
+            "bare one-byte request"
+        );
         assert!(matches!(Request::decode(&body).unwrap(), Request::SlowLog));
         assert_eq!(Request::SlowLog.scheme(), None);
-        assert_eq!(Request::SlowLog.kind_tag(), REQ_SLOWLOG as u8);
+        assert_eq!(Request::SlowLog.kind(), RequestKind::SlowLog);
 
         let entries = vec![
             SlowLogEntry {
                 trace_id: (3 << 32) | 7,
-                kind: REQ_CERTIFY as u8,
+                kind: RequestKind::Certify as u8,
                 scheme: 2,
                 age_us: 5_000_000,
                 total_us: 61_000,
@@ -1931,7 +1791,7 @@ mod tests {
 
         // hostile row count: rejected by the bound, not allocated
         let mut hostile = Vec::new();
-        put_uvarint(&mut hostile, RESP_SLOWLOG);
+        put_uvarint(&mut hostile, ResponseKind::SlowLog as u64);
         put_uvarint(&mut hostile, 1 << 30);
         assert!(Response::decode(&hostile).is_err());
     }
@@ -1939,7 +1799,14 @@ mod tests {
     #[test]
     fn cached_only_probe_frames() {
         let g = generators::cycle(5);
-        let body = encode_certify_probe_request(&g, SchemeId::BIPARTITE);
+        let body = RequestRef::Certify {
+            bypass_cache: false,
+            cached_only: true,
+            summary: false,
+            graph: &g,
+            scheme: SchemeId::BIPARTITE,
+        }
+        .encode();
         match Request::decode(&body).unwrap() {
             Request::Certify {
                 bypass_cache: false,
@@ -1951,12 +1818,12 @@ mod tests {
         }
         // plain certify stays byte-identical to the pre-v6 encoding:
         // flags byte 0, no new fields
-        let plain = encode_certify_request(&g, false, SchemeId::PLANARITY);
+        let plain = certify(&g, false, false, SchemeId::PLANARITY);
         assert_eq!(plain[1], 0, "flags byte");
 
         // bypass + cached-only contradict each other: rejected
         let mut both = Vec::new();
-        put_uvarint(&mut both, REQ_CERTIFY);
+        put_uvarint(&mut both, RequestKind::Certify as u64);
         put_uvarint(
             &mut both,
             CERTIFY_FLAG_BYPASS_CACHE | CERTIFY_FLAG_CACHED_ONLY,
@@ -1969,8 +1836,12 @@ mod tests {
     fn store_push_frames_roundtrip_and_reject_corruption() {
         use crate::store::RecordKind;
 
-        let body = encode_store_list_request();
-        assert_eq!(body, vec![REQ_STORELIST as u8], "bare one-byte request");
+        let body = RequestRef::StoreList.encode();
+        assert_eq!(
+            body,
+            vec![RequestKind::StoreList as u8],
+            "bare one-byte request"
+        );
         assert!(matches!(
             Request::decode(&body).unwrap(),
             Request::StoreList
@@ -1989,7 +1860,7 @@ mod tests {
                 suffix: vec![9; 40],
             },
         ];
-        let body = encode_store_push_request(&records);
+        let body = RequestRef::StorePush { records: &records }.encode();
         match Request::decode(&body).unwrap() {
             Request::StorePush { records: back } => {
                 assert_eq!(back.len(), 2);
@@ -2008,7 +1879,7 @@ mod tests {
 
         // hostile record count: rejected by the bound, not allocated
         let mut hostile = Vec::new();
-        put_uvarint(&mut hostile, REQ_STOREPUSH);
+        put_uvarint(&mut hostile, RequestKind::StorePush as u64);
         put_uvarint(&mut hostile, 1 << 40);
         assert!(Request::decode(&hostile).is_err());
     }
@@ -2037,7 +1908,7 @@ mod tests {
 
         // hostile key count: bounded by the remaining frame bytes
         let mut hostile = Vec::new();
-        put_uvarint(&mut hostile, RESP_STOREKEYS);
+        put_uvarint(&mut hostile, ResponseKind::StoreKeys as u64);
         put_uvarint(&mut hostile, 1 << 40);
         assert!(Response::decode(&hostile).is_err());
     }
@@ -2045,7 +1916,7 @@ mod tests {
     #[test]
     fn summary_certify_frames() {
         let g = generators::grid(3, 4);
-        let body = encode_certify_summary_request(&g, true, SchemeId::BIPARTITE);
+        let body = certify(&g, true, true, SchemeId::BIPARTITE);
         match Request::decode(&body).unwrap() {
             Request::Certify {
                 bypass_cache: true,
@@ -2059,7 +1930,7 @@ mod tests {
 
         // summary + cached-only contradict each other: rejected
         let mut both = Vec::new();
-        put_uvarint(&mut both, REQ_CERTIFY);
+        put_uvarint(&mut both, RequestKind::Certify as u64);
         put_uvarint(&mut both, CERTIFY_FLAG_SUMMARY | CERTIFY_FLAG_CACHED_ONLY);
         encode_graph(&mut both, &g);
         assert!(Request::decode(&both).is_err());
@@ -2102,7 +1973,12 @@ mod tests {
 
     #[test]
     fn chunk_frames_roundtrip_and_reject_corruption() {
-        let begin = encode_chunk_begin_request(7, true, SchemeId::TREE);
+        let begin = RequestRef::GraphChunkBegin {
+            session: 7,
+            bypass_cache: true,
+            scheme: SchemeId::TREE,
+        }
+        .encode();
         match Request::decode(&begin).unwrap() {
             Request::GraphChunkBegin {
                 session: 7,
@@ -2111,9 +1987,14 @@ mod tests {
             } => assert_eq!(scheme, SchemeId::TREE),
             other => panic!("bad decode: {other:?}"),
         }
-        assert_eq!(Request::decode(&begin).unwrap().kind_tag(), 9);
+        assert_eq!(Request::decode(&begin).unwrap().kind() as u8, 9);
 
-        let chunk = encode_chunk_request(7, 3, b"edge bytes");
+        let chunk = RequestRef::GraphChunk {
+            session: 7,
+            seq: 3,
+            payload: b"edge bytes",
+        }
+        .encode();
         match Request::decode(&chunk).unwrap() {
             Request::GraphChunk {
                 session: 7,
@@ -2131,13 +2012,19 @@ mod tests {
 
         // hostile payload length: rejected before allocation
         let mut hostile = Vec::new();
-        put_uvarint(&mut hostile, REQ_CHUNK);
+        put_uvarint(&mut hostile, RequestKind::GraphChunk as u64);
         put_uvarint(&mut hostile, 7);
         put_uvarint(&mut hostile, 0);
         put_uvarint(&mut hostile, (MAX_CHUNK_BYTES as u64) + 1);
         assert!(Request::decode(&hostile).is_err());
 
-        let end = encode_chunk_end_request(7, 4, 40_000, 0xdead_beef);
+        let end = RequestRef::GraphChunkEnd {
+            session: 7,
+            total_chunks: 4,
+            total_bytes: 40_000,
+            crc: 0xdead_beef,
+        }
+        .encode();
         match Request::decode(&end).unwrap() {
             Request::GraphChunkEnd {
                 session: 7,
@@ -2233,8 +2120,18 @@ mod tests {
         let commit = Assignment {
             certs: vec![Payload::from_bytes(vec![0xab], 8); 4],
         };
-        let begin = encode_interactive_begin_request(9, 77, &g, &commit, SchemeId::PLANARITY);
-        assert_eq!(begin[0] as u64, REQ_INTERACTIVE_BEGIN);
+        let begin_with = |commit| {
+            RequestRef::InteractiveBegin {
+                session: 9,
+                seed: 77,
+                graph: &g,
+                commit,
+                scheme: SchemeId::PLANARITY,
+            }
+            .encode()
+        };
+        let begin = begin_with(&commit);
+        assert_eq!(begin[0], RequestKind::InteractiveBegin as u8);
         match Request::decode(&begin).unwrap() {
             Request::InteractiveBegin {
                 session: 9,
@@ -2248,7 +2145,7 @@ mod tests {
             }
             other => panic!("bad decode: {other:?}"),
         }
-        assert_eq!(Request::decode(&begin).unwrap().kind_tag(), 12);
+        assert_eq!(Request::decode(&begin).unwrap().kind() as u8, 12);
         assert_eq!(
             Request::decode(&begin).unwrap().scheme(),
             Some(SchemeId::PLANARITY)
@@ -2258,10 +2155,14 @@ mod tests {
         let short = Assignment {
             certs: vec![Payload::from_bytes(vec![0x01], 8); 3],
         };
-        let bad = encode_interactive_begin_request(9, 77, &g, &short, SchemeId::PLANARITY);
+        let bad = begin_with(&short);
         assert!(Request::decode(&bad).is_err(), "commit/graph size mismatch");
 
-        let respond = encode_interactive_respond_request(9, &commit);
+        let respond = RequestRef::InteractiveRespond {
+            session: 9,
+            response: &commit,
+        }
+        .encode();
         match Request::decode(&respond).unwrap() {
             Request::InteractiveRespond {
                 session: 9,
@@ -2316,8 +2217,12 @@ mod tests {
 
     #[test]
     fn audit_frames_roundtrip() {
-        let body = encode_audit_request(32, 1234);
-        assert_eq!(body[0] as u64, REQ_AUDIT);
+        let body = RequestRef::Audit {
+            samples: 32,
+            seed: 1234,
+        }
+        .encode();
+        assert_eq!(body[0], RequestKind::Audit as u8);
         match Request::decode(&body).unwrap() {
             Request::Audit {
                 samples: 32,
@@ -2325,7 +2230,7 @@ mod tests {
             } => {}
             other => panic!("bad decode: {other:?}"),
         }
-        assert_eq!(Request::decode(&body).unwrap().kind_tag(), 14);
+        assert_eq!(Request::decode(&body).unwrap().kind() as u8, 14);
         assert_eq!(Request::decode(&body).unwrap().scheme(), None);
 
         let report = Response::AuditReport {

@@ -53,11 +53,36 @@ fn request_mix() -> Vec<Vec<u8>> {
     let small = generators::grid(4, 4);
     let ring = generators::cycle(7);
     vec![
-        wire::encode_certify_request(&small, false, dpc_service::SchemeId::PLANARITY),
-        wire::encode_certify_request(&small, false, dpc_service::SchemeId::PLANARITY),
-        wire::encode_check_request(&ring, dpc_service::SchemeId::PLANARITY),
-        wire::encode_certify_request(&ring, false, dpc_service::SchemeId::PLANARITY),
-        wire::encode_stats_request(),
+        wire::RequestRef::Certify {
+            bypass_cache: false,
+            cached_only: false,
+            summary: false,
+            graph: &small,
+            scheme: dpc_service::SchemeId::PLANARITY,
+        }
+        .encode(),
+        wire::RequestRef::Certify {
+            bypass_cache: false,
+            cached_only: false,
+            summary: false,
+            graph: &small,
+            scheme: dpc_service::SchemeId::PLANARITY,
+        }
+        .encode(),
+        wire::RequestRef::Check {
+            graph: &ring,
+            scheme: dpc_service::SchemeId::PLANARITY,
+        }
+        .encode(),
+        wire::RequestRef::Certify {
+            bypass_cache: false,
+            cached_only: false,
+            summary: false,
+            graph: &ring,
+            scheme: dpc_service::SchemeId::PLANARITY,
+        }
+        .encode(),
+        wire::RequestRef::Stats.encode(),
     ]
 }
 
@@ -73,7 +98,7 @@ proptest! {
     fn partial_io_is_byte_identical(chunk in 1usize..5, which in 0usize..3, front in 0usize..2) {
         let handle = server(front == 0);
         let graphs = [generators::grid(4, 4), generators::cycle(6), generators::complete(4)];
-        let body = wire::encode_certify_request(&graphs[which], true, dpc_service::SchemeId::PLANARITY);
+        let body = wire::RequestRef::Certify { bypass_cache: true, cached_only: false, summary: false, graph: &graphs[which], scheme: dpc_service::SchemeId::PLANARITY }.encode();
         let bytes = frame(&body);
 
         // reference: the whole frame in one write
@@ -220,7 +245,7 @@ fn idle_connections_are_reaped_and_counted() {
     // response arrives, then the reaper closes the socket
     let mut quiet = TcpStream::connect(handle.addr()).unwrap();
     quiet
-        .write_all(&frame(&wire::encode_stats_request()))
+        .write_all(&frame(&wire::RequestRef::Stats.encode()))
         .unwrap();
     let _ = read_frames(&mut quiet, 1);
     quiet
@@ -253,7 +278,14 @@ fn storm_sees_zero_failed_requests() {
         &StormConfig {
             connections: 128,
             requests_per_conn: 4,
-            body: wire::encode_certify_request(&g, false, dpc_service::SchemeId::PLANARITY),
+            body: wire::RequestRef::Certify {
+                bypass_cache: false,
+                cached_only: false,
+                summary: false,
+                graph: &g,
+                scheme: dpc_service::SchemeId::PLANARITY,
+            }
+            .encode(),
             deadline: Duration::from_secs(60),
         },
     )
@@ -280,16 +312,33 @@ fn chunked_upload_frames_are_byte_identical_across_front_ends() {
     let scheme = dpc_service::SchemeId::PLANARITY;
     let pieces: Vec<&[u8]> = payload.chunks(16).collect();
     let mut burst = Vec::new();
-    burst.extend(frame(&wire::encode_chunk_begin_request(3, false, scheme)));
+    burst.extend(frame(
+        &wire::RequestRef::GraphChunkBegin {
+            session: 3,
+            bypass_cache: false,
+            scheme,
+        }
+        .encode(),
+    ));
     for (seq, piece) in pieces.iter().enumerate() {
-        burst.extend(frame(&wire::encode_chunk_request(3, seq as u64, piece)));
+        burst.extend(frame(
+            &wire::RequestRef::GraphChunk {
+                session: 3,
+                seq: seq as u64,
+                payload: piece,
+            }
+            .encode(),
+        ));
     }
-    burst.extend(frame(&wire::encode_chunk_end_request(
-        3,
-        pieces.len() as u64,
-        payload.len() as u64,
-        dpc_service::store::crc32(&payload),
-    )));
+    burst.extend(frame(
+        &wire::RequestRef::GraphChunkEnd {
+            session: 3,
+            total_chunks: pieces.len() as u64,
+            total_bytes: payload.len() as u64,
+            crc: dpc_service::store::crc32(&payload),
+        }
+        .encode(),
+    ));
     // one ack for Begin, one per chunk, then the summary
     let n_frames = pieces.len() + 2;
 
@@ -446,7 +495,14 @@ mod half_close {
     /// A certify slow enough to keep a response owed for a while.
     fn slow_certify() -> Vec<u8> {
         let g = generators::grid(140, 140);
-        wire::encode_certify_request(&g, true, dpc_service::SchemeId::PLANARITY)
+        wire::RequestRef::Certify {
+            bypass_cache: true,
+            cached_only: false,
+            summary: false,
+            graph: &g,
+            scheme: dpc_service::SchemeId::PLANARITY,
+        }
+        .encode()
     }
 
     /// Requires the reactor to have slept through the wait.
@@ -485,12 +541,15 @@ mod half_close {
         };
         let mut bodies = vec![slow_certify()];
         for n in 2..6 {
-            bodies.push(wire::encode_gen_request(
-                "grid",
-                n,
-                1,
-                dpc_service::SchemeId::PLANARITY,
-            ));
+            bodies.push(
+                wire::RequestRef::Gen {
+                    family: "grid",
+                    n,
+                    seed: 1,
+                    scheme: dpc_service::SchemeId::PLANARITY,
+                }
+                .encode(),
+            );
         }
         let (ticks, wall, responses) = half_close_after(cfg, &bodies);
         assert!(matches!(responses[0], Response::Certified { .. }));

@@ -65,26 +65,39 @@ fn giant_graph() -> dpc_graph::Graph {
 fn stream_payload(addr: &str, payload: &[u8]) -> dpc_core::harness::Outcome {
     let mut client = Client::connect_with_retry(addr, Duration::from_secs(5)).unwrap();
     client
-        .send_body(&wire::encode_chunk_begin_request(
-            1,
-            false,
-            SchemeId::PLANARITY,
-        ))
+        .send_body(
+            &wire::RequestRef::GraphChunkBegin {
+                session: 1,
+                bypass_cache: false,
+                scheme: SchemeId::PLANARITY,
+            }
+            .encode(),
+        )
         .unwrap();
     let mut chunks = 0u64;
     for piece in payload.chunks(wire::DEFAULT_CHUNK_BYTES) {
         client
-            .send_body(&wire::encode_chunk_request(1, chunks, piece))
+            .send_body(
+                &wire::RequestRef::GraphChunk {
+                    session: 1,
+                    seq: chunks,
+                    payload: piece,
+                }
+                .encode(),
+            )
             .unwrap();
         chunks += 1;
     }
     client
-        .send_body(&wire::encode_chunk_end_request(
-            1,
-            chunks,
-            payload.len() as u64,
-            dpc_service::store::crc32(payload),
-        ))
+        .send_body(
+            &wire::RequestRef::GraphChunkEnd {
+                session: 1,
+                total_chunks: chunks,
+                total_bytes: payload.len() as u64,
+                crc: dpc_service::store::crc32(payload),
+            }
+            .encode(),
+        )
         .unwrap();
     for expect in 0..=chunks {
         match client.recv().unwrap() {

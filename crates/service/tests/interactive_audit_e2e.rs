@@ -92,13 +92,16 @@ fn forged_sessions_are_detected_at_a_positive_rate() {
     for seed in 0..trials {
         let session = 100 + seed;
         client
-            .send_body(&wire::encode_interactive_begin_request(
-                session,
-                seed,
-                &g,
-                &commit,
-                SchemeId::PLANARITY,
-            ))
+            .send_body(
+                &wire::RequestRef::InteractiveBegin {
+                    session,
+                    seed,
+                    graph: &g,
+                    commit: &commit,
+                    scheme: SchemeId::PLANARITY,
+                }
+                .encode(),
+            )
             .unwrap();
         let challenge = match client.recv().unwrap() {
             Response::Challenge {
@@ -112,7 +115,13 @@ fn forged_sessions_are_detected_at_a_positive_rate() {
         };
         let resp = proto.respond(&sub, &commit, challenge);
         client
-            .send_body(&wire::encode_interactive_respond_request(session, &resp))
+            .send_body(
+                &wire::RequestRef::InteractiveRespond {
+                    session,
+                    response: &resp,
+                }
+                .encode(),
+            )
             .unwrap();
         match client.recv().unwrap() {
             Response::Verdict {
@@ -155,17 +164,32 @@ fn interactive_transcripts_are_byte_identical_across_front_ends() {
 
     let mut script: Vec<Vec<u8>> = Vec::new();
     // a Respond with no session open: must be a clean error
-    script.push(wire::encode_interactive_respond_request(9, &commit));
+    script.push(
+        wire::RequestRef::InteractiveRespond {
+            session: 9,
+            response: &commit,
+        }
+        .encode(),
+    );
     for (i, (seed, resp)) in sessions.iter().enumerate() {
         let session = i as u64 + 1;
-        script.push(wire::encode_interactive_begin_request(
-            session,
-            *seed,
-            &g,
-            &commit,
-            SchemeId::PLANARITY,
-        ));
-        script.push(wire::encode_interactive_respond_request(session, resp));
+        script.push(
+            wire::RequestRef::InteractiveBegin {
+                session,
+                seed: *seed,
+                graph: &g,
+                commit: &commit,
+                scheme: SchemeId::PLANARITY,
+            }
+            .encode(),
+        );
+        script.push(
+            wire::RequestRef::InteractiveRespond {
+                session,
+                response: resp,
+            }
+            .encode(),
+        );
     }
 
     let transcript = |event_loop: bool| -> Vec<u8> {

@@ -134,9 +134,25 @@ fn unknown_scheme_id_is_a_clean_error() {
     let g = generators::grid(3, 3);
     let bogus = SchemeId(999);
     let bodies = [
-        wire::encode_certify_request(&g, false, bogus),
-        wire::encode_check_request(&g, bogus),
-        wire::encode_soundness_request(&g, 1, bogus),
+        wire::RequestRef::Certify {
+            bypass_cache: false,
+            cached_only: false,
+            summary: false,
+            graph: &g,
+            scheme: bogus,
+        }
+        .encode(),
+        wire::RequestRef::Check {
+            graph: &g,
+            scheme: bogus,
+        }
+        .encode(),
+        wire::RequestRef::SoundnessProbe {
+            seed: 1,
+            graph: &g,
+            scheme: bogus,
+        }
+        .encode(),
     ];
     for body in &bodies {
         client.send_body(body).unwrap();
@@ -151,7 +167,15 @@ fn unknown_scheme_id_is_a_clean_error() {
     // Gen is scheme-independent: its (reserved) scheme id is carried
     // opaquely, so generation works whatever id rides along
     client
-        .send_body(&wire::encode_gen_request("grid", 9, 1, bogus))
+        .send_body(
+            &wire::RequestRef::Gen {
+                family: "grid",
+                n: 9,
+                seed: 1,
+                scheme: bogus,
+            }
+            .encode(),
+        )
         .unwrap();
     match client.recv().unwrap() {
         Response::Generated(g) => assert_eq!(g.node_count(), 9),
@@ -178,14 +202,22 @@ fn corrupt_extension_blocks_get_error_responses() {
     let handle = test_server();
     let mut client = Client::connect(handle.addr()).unwrap();
     let g = generators::grid(3, 3);
-    let base = wire::encode_check_request(&g, SchemeId::PLANARITY);
+    let base = wire::RequestRef::Check {
+        graph: &g,
+        scheme: SchemeId::PLANARITY,
+    }
+    .encode();
 
     // truncated extension: tag promises bytes that never come
     let mut truncated = base.clone();
     put_uvarint(&mut truncated, wire::EXT_SCHEME_ID);
     put_uvarint(&mut truncated, 9);
     // duplicate scheme id
-    let mut duplicate = wire::encode_check_request(&g, SchemeId::TREE);
+    let mut duplicate = wire::RequestRef::Check {
+        graph: &g,
+        scheme: SchemeId::TREE,
+    }
+    .encode();
     put_uvarint(&mut duplicate, wire::EXT_SCHEME_ID);
     put_uvarint(&mut duplicate, 1);
     put_uvarint(&mut duplicate, 2);

@@ -577,7 +577,14 @@ fn malformed_chunk_streams_abort_cleanly_and_the_connection_survives() {
 
     // a chunk for a session that was never begun
     client
-        .send_body(&wire::encode_chunk_request(99, 0, &payload))
+        .send_body(
+            &wire::RequestRef::GraphChunk {
+                session: 99,
+                seq: 0,
+                payload: &payload,
+            }
+            .encode(),
+        )
         .unwrap();
     match client.recv().unwrap() {
         Response::Error(e) => assert!(e.contains("session"), "{e}"),
@@ -586,7 +593,14 @@ fn malformed_chunk_streams_abort_cleanly_and_the_connection_survives() {
 
     // out-of-order seq aborts the session
     client
-        .send_body(&wire::encode_chunk_begin_request(5, false, scheme))
+        .send_body(
+            &wire::RequestRef::GraphChunkBegin {
+                session: 5,
+                bypass_cache: false,
+                scheme,
+            }
+            .encode(),
+        )
         .unwrap();
     match client.recv().unwrap() {
         Response::ChunkAck {
@@ -596,7 +610,14 @@ fn malformed_chunk_streams_abort_cleanly_and_the_connection_survives() {
         other => panic!("{other:?}"),
     }
     client
-        .send_body(&wire::encode_chunk_request(5, 1, &payload))
+        .send_body(
+            &wire::RequestRef::GraphChunk {
+                session: 5,
+                seq: 1,
+                payload: &payload,
+            }
+            .encode(),
+        )
         .unwrap();
     match client.recv().unwrap() {
         Response::Error(e) => assert!(e.contains("seq") || e.contains("order"), "{e}"),
@@ -604,12 +625,15 @@ fn malformed_chunk_streams_abort_cleanly_and_the_connection_survives() {
     }
     // …so the End of the aborted session is an error too
     client
-        .send_body(&wire::encode_chunk_end_request(
-            5,
-            1,
-            payload.len() as u64,
-            dpc_service::store::crc32(&payload),
-        ))
+        .send_body(
+            &wire::RequestRef::GraphChunkEnd {
+                session: 5,
+                total_chunks: 1,
+                total_bytes: payload.len() as u64,
+                crc: dpc_service::store::crc32(&payload),
+            }
+            .encode(),
+        )
         .unwrap();
     match client.recv().unwrap() {
         Response::Error(_) => {}
@@ -618,18 +642,35 @@ fn malformed_chunk_streams_abort_cleanly_and_the_connection_survives() {
 
     // a whole-payload CRC mismatch at End aborts
     client
-        .send_body(&wire::encode_chunk_begin_request(6, false, scheme))
+        .send_body(
+            &wire::RequestRef::GraphChunkBegin {
+                session: 6,
+                bypass_cache: false,
+                scheme,
+            }
+            .encode(),
+        )
         .unwrap();
     client
-        .send_body(&wire::encode_chunk_request(6, 0, &payload))
+        .send_body(
+            &wire::RequestRef::GraphChunk {
+                session: 6,
+                seq: 0,
+                payload: &payload,
+            }
+            .encode(),
+        )
         .unwrap();
     client
-        .send_body(&wire::encode_chunk_end_request(
-            6,
-            1,
-            payload.len() as u64,
-            !dpc_service::store::crc32(&payload),
-        ))
+        .send_body(
+            &wire::RequestRef::GraphChunkEnd {
+                session: 6,
+                total_chunks: 1,
+                total_bytes: payload.len() as u64,
+                crc: !dpc_service::store::crc32(&payload),
+            }
+            .encode(),
+        )
         .unwrap();
     match client.recv().unwrap() {
         Response::ChunkAck { session: 6, .. } => {}

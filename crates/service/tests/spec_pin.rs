@@ -146,7 +146,14 @@ fn spec_hex_example_is_the_real_encoding() {
     let frame = spec_example_bytes(CERTIFY_BLOCK);
     // the spec's frame is exactly what the codec emits for C4 under
     // the bipartite scheme
-    let body = wire::encode_certify_request(&generators::cycle(4), false, SchemeId::BIPARTITE);
+    let body = wire::RequestRef::Certify {
+        bypass_cache: false,
+        cached_only: false,
+        summary: false,
+        graph: &generators::cycle(4),
+        scheme: SchemeId::BIPARTITE,
+    }
+    .encode();
     let mut expected = Vec::new();
     wire::write_frame(&mut expected, &body).unwrap();
     assert_eq!(
@@ -185,7 +192,14 @@ fn spec_hex_example_decodes_as_documented() {
         Request::Certify { scheme, .. } => assert_eq!(scheme, SchemeId::PLANARITY),
         other => panic!("{other:?}"),
     }
-    let v1_direct = wire::encode_certify_request(&generators::cycle(4), false, SchemeId::PLANARITY);
+    let v1_direct = wire::RequestRef::Certify {
+        bypass_cache: false,
+        cached_only: false,
+        summary: false,
+        graph: &generators::cycle(4),
+        scheme: SchemeId::PLANARITY,
+    }
+    .encode();
     assert_eq!(
         v1,
         v1_direct.as_slice(),
@@ -288,7 +302,10 @@ fn spec_store_record() -> StoreRecord {
 #[test]
 fn spec_store_push_example_is_the_real_encoding() {
     let doc = spec_example_bytes(STOREPUSH_BLOCK);
-    let encoded = wire::encode_store_push_request(std::slice::from_ref(&spec_store_record()));
+    let encoded = wire::RequestRef::StorePush {
+        records: std::slice::from_ref(&spec_store_record()),
+    }
+    .encode();
     assert_eq!(
         doc, encoded,
         "docs/WIRE.md §8 StorePush example drifted from the codec"
@@ -349,10 +366,31 @@ fn spec_chunk_stream_example_is_the_real_encoding() {
     let split = payload.len() / 2;
     let mut expected = Vec::new();
     for body in [
-        wire::encode_chunk_begin_request(7, false, SchemeId::PLANARITY),
-        wire::encode_chunk_request(7, 0, &payload[..split]),
-        wire::encode_chunk_request(7, 1, &payload[split..]),
-        wire::encode_chunk_end_request(7, 2, payload.len() as u64, crc32(&payload)),
+        wire::RequestRef::GraphChunkBegin {
+            session: 7,
+            bypass_cache: false,
+            scheme: SchemeId::PLANARITY,
+        }
+        .encode(),
+        wire::RequestRef::GraphChunk {
+            session: 7,
+            seq: 0,
+            payload: &payload[..split],
+        }
+        .encode(),
+        wire::RequestRef::GraphChunk {
+            session: 7,
+            seq: 1,
+            payload: &payload[split..],
+        }
+        .encode(),
+        wire::RequestRef::GraphChunkEnd {
+            session: 7,
+            total_chunks: 2,
+            total_bytes: payload.len() as u64,
+            crc: crc32(&payload),
+        }
+        .encode(),
     ] {
         wire::write_frame(&mut expected, &body).unwrap();
     }
@@ -423,8 +461,19 @@ fn spec_interactive_session_example_is_the_real_encoding() {
     let response = proto.respond(&g, &commit, challenge);
     let mut expected = Vec::new();
     for body in [
-        wire::encode_interactive_begin_request(1, 5, &g, &commit, SchemeId::PLANARITY),
-        wire::encode_interactive_respond_request(1, &response),
+        wire::RequestRef::InteractiveBegin {
+            session: 1,
+            seed: 5,
+            graph: &g,
+            commit: &commit,
+            scheme: SchemeId::PLANARITY,
+        }
+        .encode(),
+        wire::RequestRef::InteractiveRespond {
+            session: 1,
+            response: &response,
+        }
+        .encode(),
     ] {
         wire::write_frame(&mut expected, &body).unwrap();
     }
@@ -511,7 +560,11 @@ fn spec_interactive_session_example_is_the_real_encoding() {
 #[test]
 fn spec_audit_examples_are_the_real_encoding() {
     let doc = spec_example_bytes(AUDIT_REQUEST_BLOCK);
-    let encoded = wire::encode_audit_request(16, 9);
+    let encoded = wire::RequestRef::Audit {
+        samples: 16,
+        seed: 9,
+    }
+    .encode();
     assert_eq!(
         doc, encoded,
         "docs/WIRE.md §11 Audit example drifted from the codec"

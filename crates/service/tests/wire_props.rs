@@ -2,9 +2,12 @@
 //! every generator family, including shuffled-identifier variants.
 
 use dpc_core::harness::certify_pls;
+use dpc_core::scheme::Assignment;
 use dpc_core::schemes::planarity::PlanarityScheme;
 use dpc_graph::{generators, Graph};
+use dpc_runtime::Payload;
 use dpc_service::registry::{SchemeId, SchemeRegistry};
+use dpc_service::store::{crc32, RecordKind, StoreRecord};
 use dpc_service::wire::{self, Request, Response};
 use proptest::prelude::*;
 
@@ -37,13 +40,24 @@ proptest! {
         }
     }
 
-    /// Requests round-trip through the frame body codec — for *every*
-    /// scheme id the standard registry serves, plus an unregistered id
-    /// (the codec is registry-agnostic; routing unknown ids is the
-    /// server's job).
+    /// Requests of every kind round-trip through the frame body codec —
+    /// for *every* scheme id the standard registry serves, plus an
+    /// unregistered id (the codec is registry-agnostic; routing unknown
+    /// ids is the server's job) — and the borrowed form encodes the
+    /// same bytes as the owned one.
     #[test]
     fn request_codec_identity(which in 0u32..generators::SAMPLE_FAMILY_COUNT, n in 5u32..30, seed in 0u64..500) {
         let g = family_graph(which, n, seed);
+        let mut payload = Vec::new();
+        wire::encode_graph(&mut payload, &g);
+        let commit = Assignment {
+            certs: vec![Payload::from_bytes(vec![seed as u8, 0x5a], 13); g.node_count()],
+        };
+        let record = StoreRecord {
+            kind: RecordKind::Certified,
+            keyed: payload.clone(),
+            suffix: vec![seed as u8; n as usize],
+        };
         let registry = SchemeRegistry::standard();
         let mut ids: Vec<SchemeId> =
             registry.entries().iter().map(|e| e.id).collect();
@@ -55,9 +69,22 @@ proptest! {
                 Request::Gen { family: "grid".into(), n, seed, scheme },
                 Request::SoundnessProbe { graph: g.clone(), seed, scheme },
                 Request::Stats,
+                Request::SlowLog,
+                Request::StoreList,
+                Request::StorePush { records: vec![record.clone(); 2] },
+                Request::GraphChunkBegin { session: seed, bypass_cache: seed.is_multiple_of(3), scheme },
+                Request::GraphChunk { session: seed, seq: n as u64, payload: payload.clone() },
+                Request::GraphChunkEnd { session: seed, total_chunks: 1, total_bytes: payload.len() as u64, crc: crc32(&payload) },
+                Request::InteractiveBegin { session: seed, seed, graph: g.clone(), commit: commit.clone(), scheme },
+                Request::InteractiveRespond { session: seed, response: commit.clone() },
+                Request::Audit { samples: n as u64, seed },
             ];
             for req in requests {
-                let back = Request::decode(&req.encode()).unwrap();
+                let body = req.encode();
+                prop_assert_eq!(&req.as_ref().encode(), &body, "borrowed and owned bytes differ");
+                let back = Request::decode(&body).unwrap();
+                prop_assert_eq!(req.kind(), back.kind(), "kind changed in flight");
+                prop_assert_eq!(back.encode(), body, "re-encoding changed the bytes");
                 prop_assert_eq!(req.scheme(), back.scheme(), "scheme changed in flight");
                 match (&req, &back) {
                     (Request::Certify { graph: a, bypass_cache: fa, .. },
@@ -79,8 +106,7 @@ proptest! {
                         prop_assert!(wire::graphs_equal(a, b));
                         prop_assert_eq!(sa, sb);
                     }
-                    (Request::Stats, Request::Stats) => {}
-                    _ => prop_assert!(false, "kind changed in flight"),
+                    _ => {}
                 }
             }
         }
@@ -157,7 +183,7 @@ proptest! {
         let g = family_graph(which, n, seed);
         let mut payload = Vec::new();
         wire::encode_graph(&mut payload, &g);
-        let body = wire::encode_chunk_request(9, 0, &payload);
+        let body = wire::RequestRef::GraphChunk { session: 9, seq: 0, payload: &payload }.encode();
         // truncation anywhere inside the body is an error
         for cut in 0..body.len() {
             prop_assert!(Request::decode(&body[..cut]).is_err());

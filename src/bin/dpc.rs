@@ -1795,7 +1795,14 @@ fn bench_storm(
     // probe (and honor --wait-ms) before the storm, and warm the
     // cache so the storm measures serving, not proving
     let g = dpc::graph::generators::grid(6, 6);
-    let body = dpc_service::wire::encode_certify_request(&g, false, SchemeId::PLANARITY);
+    let body = dpc_service::wire::RequestRef::Certify {
+        bypass_cache: false,
+        cached_only: false,
+        summary: false,
+        graph: &g,
+        scheme: SchemeId::PLANARITY,
+    }
+    .encode();
     {
         let mut probe = connect_wait(&target, wait)?;
         probe.certify(&g, false).map_err(|e| e.to_string())?;

@@ -40,8 +40,22 @@ const WORKER_ANSWERED: u64 = 7;
 fn burst() -> Vec<Vec<u8>> {
     let planarity = SchemeId::PLANARITY;
     let mut bodies = vec![
-        wire::encode_certify_request(&generators::grid(4, 4), false, planarity),
-        wire::encode_certify_request(&generators::wheel(9), false, planarity),
+        wire::RequestRef::Certify {
+            bypass_cache: false,
+            cached_only: false,
+            summary: false,
+            graph: &generators::grid(4, 4),
+            scheme: planarity,
+        }
+        .encode(),
+        wire::RequestRef::Certify {
+            bypass_cache: false,
+            cached_only: false,
+            summary: false,
+            graph: &generators::wheel(9),
+            scheme: planarity,
+        }
+        .encode(),
         vec![0xff, 0xff, 0xff],
     ];
 
@@ -49,10 +63,39 @@ fn burst() -> Vec<Vec<u8>> {
     // kills the session, so the End that follows has none
     let mut tri = Vec::new();
     wire::encode_graph(&mut tri, &generators::stacked_triangulation(30, 2));
-    bodies.push(wire::encode_chunk_begin_request(5, false, planarity));
-    bodies.push(wire::encode_chunk_request(5, 0, &tri[..8]));
-    bodies.push(wire::encode_chunk_request(5, 2, &tri[8..16]));
-    bodies.push(wire::encode_chunk_end_request(5, 3, 16, 0));
+    bodies.push(
+        wire::RequestRef::GraphChunkBegin {
+            session: 5,
+            bypass_cache: false,
+            scheme: planarity,
+        }
+        .encode(),
+    );
+    bodies.push(
+        wire::RequestRef::GraphChunk {
+            session: 5,
+            seq: 0,
+            payload: &tri[..8],
+        }
+        .encode(),
+    );
+    bodies.push(
+        wire::RequestRef::GraphChunk {
+            session: 5,
+            seq: 2,
+            payload: &tri[8..16],
+        }
+        .encode(),
+    );
+    bodies.push(
+        wire::RequestRef::GraphChunkEnd {
+            session: 5,
+            total_chunks: 3,
+            total_bytes: 16,
+            crc: 0,
+        }
+        .encode(),
+    );
 
     // an interactive response with no session open, then one honest
     // round on grid(5, 4) under seed 3
@@ -60,33 +103,88 @@ fn burst() -> Vec<Vec<u8>> {
     let proto = DmamPlanarity::new();
     let commit = proto.commit(&g).expect("grid is planar");
     let response = proto.respond(&g, &commit, challenge_from_seed(3));
-    bodies.push(wire::encode_interactive_respond_request(9, &commit));
-    bodies.push(wire::encode_interactive_begin_request(
-        1, 3, &g, &commit, planarity,
-    ));
-    bodies.push(wire::encode_interactive_respond_request(1, &response));
+    bodies.push(
+        wire::RequestRef::InteractiveRespond {
+            session: 9,
+            response: &commit,
+        }
+        .encode(),
+    );
+    bodies.push(
+        wire::RequestRef::InteractiveBegin {
+            session: 1,
+            seed: 3,
+            graph: &g,
+            commit: &commit,
+            scheme: planarity,
+        }
+        .encode(),
+    );
+    bodies.push(
+        wire::RequestRef::InteractiveRespond {
+            session: 1,
+            response: &response,
+        }
+        .encode(),
+    );
 
     // a clean upload of the same triangulation in two chunks
     let pieces: Vec<&[u8]> = tri.chunks(tri.len().div_ceil(2)).collect();
-    bodies.push(wire::encode_chunk_begin_request(6, false, planarity));
+    bodies.push(
+        wire::RequestRef::GraphChunkBegin {
+            session: 6,
+            bypass_cache: false,
+            scheme: planarity,
+        }
+        .encode(),
+    );
     for (seq, piece) in pieces.iter().enumerate() {
-        bodies.push(wire::encode_chunk_request(6, seq as u64, piece));
+        bodies.push(
+            wire::RequestRef::GraphChunk {
+                session: 6,
+                seq: seq as u64,
+                payload: piece,
+            }
+            .encode(),
+        );
     }
-    bodies.push(wire::encode_chunk_end_request(
-        6,
-        pieces.len() as u64,
-        tri.len() as u64,
-        crc32(&tri),
-    ));
+    bodies.push(
+        wire::RequestRef::GraphChunkEnd {
+            session: 6,
+            total_chunks: pieces.len() as u64,
+            total_bytes: tri.len() as u64,
+            crc: crc32(&tri),
+        }
+        .encode(),
+    );
 
-    bodies.push(wire::encode_check_request(&generators::cycle(7), planarity));
-    bodies.push(wire::encode_gen_request("grid", 9, 1, planarity));
-    bodies.push(wire::encode_slowlog_request());
-    bodies.push(wire::encode_certify_request(
-        &generators::grid(4, 4),
-        false,
-        SchemeId(999),
-    ));
+    bodies.push(
+        wire::RequestRef::Check {
+            graph: &generators::cycle(7),
+            scheme: planarity,
+        }
+        .encode(),
+    );
+    bodies.push(
+        wire::RequestRef::Gen {
+            family: "grid",
+            n: 9,
+            seed: 1,
+            scheme: planarity,
+        }
+        .encode(),
+    );
+    bodies.push(wire::RequestRef::SlowLog.encode());
+    bodies.push(
+        wire::RequestRef::Certify {
+            bypass_cache: false,
+            cached_only: false,
+            summary: false,
+            graph: &generators::grid(4, 4),
+            scheme: SchemeId(999),
+        }
+        .encode(),
+    );
     bodies
 }
 
