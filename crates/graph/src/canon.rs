@@ -70,18 +70,30 @@ impl Fnv128 {
     }
 }
 
-/// The canonical edge list: smaller endpoint first, sorted
-/// lexicographically. Independent of insertion order.
+/// The canonical edge order: smaller endpoint first, sorted
+/// lexicographically. Independent of insertion order: it walks the
+/// sorted adjacency lists and takes each edge from its smaller end, so
+/// nothing is collected or sorted. The one owner of that order; the
+/// service's wire encoding gap-codes it.
+pub fn iter_canonical_edges(g: &Graph) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+    g.nodes().flat_map(move |u| {
+        g.neighbors(u)
+            .skip_while(move |&v| v < u)
+            .map(move |v| (u, v))
+    })
+}
+
+/// The canonical edge list, collected from [`iter_canonical_edges`].
 pub fn canonical_edges(g: &Graph) -> Vec<(NodeId, NodeId)> {
-    let mut edges: Vec<(NodeId, NodeId)> = g.edges().iter().map(|e| e.canonical()).collect();
-    edges.sort_unstable();
+    let mut edges = Vec::with_capacity(g.edge_count());
+    edges.extend(iter_canonical_edges(g));
     edges
 }
 
 /// FNV-1a-128 over an arbitrary byte string. When the caller already
 /// holds a canonical encoding of a graph (the service wire codec
 /// emits one), hashing those bytes directly keys the same content
-/// without re-sorting the edge list.
+/// without walking the graph again.
 pub fn hash_bytes(bytes: &[u8]) -> GraphHash {
     let mut h = Fnv128::new();
     h.write(bytes);
@@ -112,7 +124,7 @@ pub fn graph_hash(g: &Graph) -> GraphHash {
 fn feed_structure(h: &mut Fnv128, g: &Graph) {
     h.write_u64(g.node_count() as u64);
     h.write_u64(g.edge_count() as u64);
-    for (u, v) in canonical_edges(g) {
+    for (u, v) in iter_canonical_edges(g) {
         h.write_u64(u as u64);
         h.write_u64(v as u64);
     }

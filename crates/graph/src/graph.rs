@@ -5,7 +5,8 @@
 //! carries a network identifier (`u64`), unique in the graph, matching the
 //! paper's model where identifiers are drawn from a range polynomial in
 //! `n` and hence fit in `O(log n)` bits. Edges are undirected, stored once
-//! with a stable [`EdgeId`], plus symmetric adjacency lists.
+//! with a stable [`EdgeId`], plus symmetric adjacency lists in compressed
+//! sparse row (CSR) form.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -188,17 +189,21 @@ impl GraphBuilder {
 
 /// A finite simple undirected graph with per-node network identifiers.
 ///
-/// The representation is immutable after construction: adjacency lists are
-/// built once (each entry carries the neighbor and the undirected edge id)
-/// and sorted by neighbor index for deterministic iteration.
+/// The representation is immutable after construction and flat: the edge
+/// list, the identifiers, and every adjacency list in one array (each
+/// entry carries the neighbor and the undirected edge id), so a graph
+/// costs a constant number of allocations whatever its size. Each list is
+/// sorted by neighbor index for deterministic iteration.
 #[derive(Clone)]
 pub struct Graph {
     n: u32,
     edges: Vec<Edge>,
-    /// `adj[v]` = sorted list of `(neighbor, edge id)`.
-    adj: Vec<Vec<(NodeId, EdgeId)>>,
+    /// `adj[offsets[v]..offsets[v + 1]]` is `v`'s adjacency list;
+    /// `usize`, since `2m` can pass `u32::MAX`.
+    offsets: Vec<usize>,
+    /// Every node's sorted `(neighbor, edge id)` list, back to back.
+    adj: Vec<(NodeId, EdgeId)>,
     ids: Vec<u64>,
-    id_to_node: HashMap<u64, NodeId>,
 }
 
 impl Graph {
@@ -210,30 +215,57 @@ impl Graph {
     /// duplicate identifiers.
     pub fn from_parts(n: u32, edges: Vec<Edge>, ids: Vec<u64>) -> Self {
         assert_eq!(ids.len(), n as usize);
-        let mut adj: Vec<Vec<(NodeId, EdgeId)>> = vec![Vec::new(); n as usize];
-        for (i, e) in edges.iter().enumerate() {
+        assert!(
+            edges.len() <= EdgeId::MAX as usize,
+            "more edges than edge ids"
+        );
+        // degrees, then their exclusive prefix sums: where each list starts
+        let mut offsets = vec![0usize; n as usize + 1];
+        for e in &edges {
             assert!(e.u != e.v, "self-loop at {}", e.u);
             assert!(e.u < n && e.v < n, "endpoint out of range in {e}");
-            adj[e.u as usize].push((e.v, i as EdgeId));
-            adj[e.v as usize].push((e.u, i as EdgeId));
+            offsets[e.u as usize] += 1;
+            offsets[e.v as usize] += 1;
         }
-        for l in &mut adj {
+        let mut total = 0;
+        for o in &mut offsets {
+            (*o, total) = (total, total + *o);
+        }
+        // fill in edge order, which moves each start to where its list
+        // ends; shifting by one node restores the starts
+        let mut adj = vec![(0, 0); total];
+        for (i, e) in edges.iter().enumerate() {
+            for (a, b) in [(e.u, e.v), (e.v, e.u)] {
+                adj[offsets[a as usize]] = (b, i as EdgeId);
+                offsets[a as usize] += 1;
+            }
+        }
+        offsets.copy_within(..n as usize, 1);
+        offsets[0] = 0;
+        // a canonical edge list (sorted, smaller endpoint first) fills
+        // every list in order already, and the sort only checks that
+        for v in 0..n as usize {
+            let l = &mut adj[offsets[v]..offsets[v + 1]];
             l.sort_unstable();
             for w in l.windows(2) {
                 assert_ne!(w[0].0, w[1].0, "duplicate edge to {}", w[0].0);
             }
         }
-        let mut id_to_node = HashMap::with_capacity(n as usize);
-        for (v, &id) in ids.iter().enumerate() {
-            let prev = id_to_node.insert(id, v as NodeId);
-            assert!(prev.is_none(), "duplicate identifier {id}");
+        // increasing identifiers (the defaults among them) are distinct
+        // at a glance; others are checked on a sorted copy
+        if !ids.windows(2).all(|w| w[0] < w[1]) {
+            let mut sorted = ids.clone();
+            sorted.sort_unstable();
+            if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
+                panic!("duplicate identifier {}", w[0]);
+            }
         }
         Graph {
             n,
             edges,
+            offsets,
             adj,
             ids,
-            id_to_node,
         }
     }
 
@@ -273,23 +305,24 @@ impl Graph {
 
     /// Sorted adjacency of `v`: `(neighbor, edge id)` pairs.
     pub fn adjacency(&self, v: NodeId) -> &[(NodeId, EdgeId)] {
-        &self.adj[v as usize]
+        &self.adj[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
 
     /// Iterator over the neighbors of `v`.
     pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.adj[v as usize].iter().map(|&(w, _)| w)
+        self.adjacency(v).iter().map(|&(w, _)| w)
     }
 
     /// Degree of `v`.
     pub fn degree(&self, v: NodeId) -> usize {
-        self.adj[v as usize].len()
+        self.offsets[v as usize + 1] - self.offsets[v as usize]
     }
 
     /// Maximum degree.
     pub fn max_degree(&self) -> usize {
-        (0..self.n as usize)
-            .map(|v| self.adj[v].len())
+        self.offsets
+            .windows(2)
+            .map(|w| w[1] - w[0])
             .max()
             .unwrap_or(0)
     }
@@ -301,7 +334,7 @@ impl Graph {
 
     /// The id of edge `{u, v}` if present (binary search on adjacency).
     pub fn find_edge(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        let l = &self.adj[u as usize];
+        let l = self.adjacency(u);
         l.binary_search_by_key(&v, |&(w, _)| w).ok().map(|i| l[i].1)
     }
 
@@ -315,9 +348,9 @@ impl Graph {
         &self.ids
     }
 
-    /// Node with the given network identifier.
+    /// Node with the given network identifier (a linear scan).
     pub fn node_of_id(&self, id: u64) -> Option<NodeId> {
-        self.id_to_node.get(&id).copied()
+        self.ids.iter().position(|&x| x == id).map(|v| v as NodeId)
     }
 
     /// True if every node carries its [`default_id`] — such graphs can

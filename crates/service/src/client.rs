@@ -298,7 +298,38 @@ pub struct Client {
 impl Client {
     /// Connects to a running `dpc serve`.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
+        Client::from_stream(TcpStream::connect(addr)?)
+    }
+
+    /// Connects with `dial` bounding the dial and `io_timeout` every
+    /// later read and write, so a peer that accepts but never answers
+    /// fails the call instead of blocking its caller forever.
+    pub(crate) fn connect_timeout(
+        addr: &str,
+        dial: Duration,
+        io_timeout: Duration,
+    ) -> io::Result<Client> {
+        let mut last = io::Error::new(io::ErrorKind::InvalidInput, "no address");
+        for a in addr.to_socket_addrs()? {
+            match TcpStream::connect_timeout(&a, dial) {
+                Ok(stream) => {
+                    stream.set_read_timeout(Some(io_timeout))?;
+                    stream.set_write_timeout(Some(io_timeout))?;
+                    return Client::from_stream(stream);
+                }
+                Err(e) => last = e,
+            }
+        }
+        Err(last)
+    }
+
+    /// Another handle on the connection: shutting it down from another
+    /// thread fails a call blocked on this client.
+    pub(crate) fn try_clone_stream(&self) -> io::Result<TcpStream> {
+        self.writer.get_ref().try_clone()
+    }
+
+    fn from_stream(stream: TcpStream) -> io::Result<Client> {
         stream.set_nodelay(true)?;
         let write_half = stream.try_clone()?;
         Ok(Client {

@@ -93,9 +93,9 @@ enum Route {
 }
 
 /// One open chunked-upload session: the incremental graph decoder plus
-/// the sequencing and integrity state the protocol checks. Memory here
-/// is O(chunk): the decoder holds the graph *index* under construction
-/// and a < 10-byte carry, never the full encoding.
+/// the sequencing and integrity state the protocol checks. The decoder
+/// holds the decoded edge list, which grows with the edge count, plus a
+/// carry of under 10 bytes; never the raw upload.
 struct ChunkUpload {
     session: u64,
     bypass_cache: bool,

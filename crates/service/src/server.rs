@@ -40,11 +40,12 @@
 //!   through the existing [`BatchRunner`] in one parallel batch,
 //!   deduplicating identical graphs within the batch.
 //! * The cache is keyed by [`dpc_graph::canon::hash_bytes`] over the
-//!   scheme id followed by the canonical wire encoding (one sort per
-//!   request), with the stored bytes compared on every hit as a
-//!   collision *and cross-scheme* guard; a hit memcpys the entry's
-//!   pre-encoded suffix — the prover never runs twice for the same
-//!   `(scheme, graph)` pair, and no scheme can see another's entries.
+//!   scheme id followed by the canonical wire encoding (one walk of
+//!   the sorted adjacency per request, no sort), with the stored
+//!   bytes compared on every hit as a collision *and cross-scheme*
+//!   guard; a hit memcpys the entry's pre-encoded suffix — the prover
+//!   never runs twice for the same `(scheme, graph)` pair, and no
+//!   scheme can see another's entries.
 //! * With `--store-dir` the cache is the hot tier of a
 //!   [`TieredCache`]: inserts write behind to an append-only segment
 //!   store, hot evictions demote instead of vanish, cold hits promote
@@ -117,7 +118,7 @@ pub struct ServeConfig {
     /// disables the log.
     pub slow_ms: u64,
     /// Peer node addresses for the anti-entropy sweep (`dpc serve
-    /// --peers`). Every second or so the store maintenance thread
+    /// --peers`). Every second or so a sweep thread of its own
     /// asks each peer for its store key digests (StoreList) and
     /// streams it the records it lacks (StorePush) — so a node that
     /// restarted empty converges back to the fleet's certificate set
@@ -320,6 +321,9 @@ pub(crate) struct Shared {
     pub(crate) registry: SchemeRegistry,
     pub(crate) runner: BatchRunner,
     pub(crate) shutdown: AtomicBool,
+    /// The peer connection an anti-entropy sweep is waiting on, so
+    /// shutdown can cut it instead of waiting out [`PEER_IO_TIMEOUT`].
+    sweep_conn: Mutex<Option<TcpStream>>,
     pub(crate) slow: SlowLog,
     /// The bound listen address as a string — this node's identity in
     /// the rendezvous ring formed by `peers ∪ {self}`, so composite
@@ -370,6 +374,8 @@ pub struct ServerHandle {
     inboxes: Vec<Arc<crate::reactor::Inbox>>,
     workers: Vec<JoinHandle<()>>,
     flusher: Option<JoinHandle<()>>,
+    /// The anti-entropy sweep, when peers are configured.
+    sweeper: Option<JoinHandle<()>>,
     /// The Prometheus exposition listener, when configured.
     metrics_thread: Option<JoinHandle<()>>,
     metrics_addr: Option<SocketAddr>,
@@ -410,6 +416,17 @@ impl ServerHandle {
     /// the OS had not yet written back).
     pub fn shutdown(self) {
         self.shared.shutdown.store(true, Ordering::Release);
+        // a sweep blocked on a slow or hung peer fails now, and sees
+        // the flag before it dials the next one
+        if let Some(conn) = self
+            .shared
+            .sweep_conn
+            .lock()
+            .expect("sweep poisoned")
+            .take()
+        {
+            let _ = conn.shutdown(std::net::Shutdown::Both);
+        }
         self.shared.queue.close();
         if self.inboxes.is_empty() {
             // unblock the threaded accept loop's blocking accept
@@ -426,8 +443,8 @@ impl ServerHandle {
         for w in self.workers {
             let _ = w.join();
         }
-        if let Some(f) = self.flusher {
-            let _ = f.join();
+        for t in [self.flusher, self.sweeper].into_iter().flatten() {
+            let _ = t.join();
         }
         if let Some(m) = self.metrics_thread {
             let _ = m.join();
@@ -479,6 +496,7 @@ pub fn serve_with_registry<A: ToSocketAddrs>(
         slow: SlowLog::new(cfg.slow_ms.saturating_mul(1000)),
         cfg,
         shutdown: AtomicBool::new(false),
+        sweep_conn: Mutex::new(None),
         self_addr: addr.to_string(),
     });
     let workers = (0..shared.cfg.workers.max(1))
@@ -512,50 +530,60 @@ pub fn serve_with_registry<A: ToSocketAddrs>(
     // shutdown alone cannot be the durability story: a background
     // flusher fsyncs the store every few seconds, bounding what a
     // kill -9 (or power loss right after a SIGTERM) can lose
-    let flusher = (shared.cache.cold().is_some()
-        || !shared.cfg.peers.is_empty()
-        || shared.cfg.audit)
-        .then(|| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("dpc-store-flush".into())
-                .spawn(move || {
-                    let mut ticks = 0u32;
-                    while !shared.shutdown.load(Ordering::Acquire) {
-                        std::thread::sleep(Duration::from_millis(250));
-                        ticks += 1;
-                        if ticks.is_multiple_of(20) {
-                            // every ~5 s: compaction (if garbage piled
-                            // up) and fsync — both deliberately off the
-                            // request path; an fsync with nothing dirty
-                            // is cheap
-                            let _ = shared.cache.maintain();
-                            let _ = shared.cache.flush();
-                        }
-                        if !shared.cfg.peers.is_empty() && ticks.is_multiple_of(4) {
-                            // every ~1 s: anti-entropy — ask each peer
-                            // for its key digests and stream it whatever
-                            // it lacks; converged peers exchange only
-                            // the digest list, never a record
-                            anti_entropy_sweep(&shared);
-                        }
-                        if shared.cfg.audit && ticks.is_multiple_of(2) {
-                            // every ~0.5 s: sample stored certificates
-                            // and re-verify them; the sweep index seeds
-                            // the sampler, so restarts re-cover the
-                            // store from the top instead of resuming a
-                            // random walk
-                            let sweep = shared.metrics.audit_sweeps.load(Ordering::Relaxed);
-                            audit_pass(
-                                &shared,
-                                AUDIT_SWEEP_SAMPLES,
-                                fingerprint::derive(AUDIT_SEED_BASE, sweep),
-                            );
-                        }
+    let flusher = (shared.cache.cold().is_some() || shared.cfg.audit).then(|| {
+        let shared = Arc::clone(&shared);
+        std::thread::Builder::new()
+            .name("dpc-store-flush".into())
+            .spawn(move || {
+                let mut ticks = 0u32;
+                while !shared.shutdown.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_millis(250));
+                    ticks += 1;
+                    if ticks.is_multiple_of(20) {
+                        // every ~5 s: compaction (if garbage piled
+                        // up) and fsync — both deliberately off the
+                        // request path; an fsync with nothing dirty
+                        // is cheap
+                        let _ = shared.cache.maintain();
+                        let _ = shared.cache.flush();
                     }
-                })
-                .expect("spawn store flusher")
-        });
+                    if shared.cfg.audit && ticks.is_multiple_of(2) {
+                        // every ~0.5 s: sample stored certificates
+                        // and re-verify them; the sweep index seeds
+                        // the sampler, so restarts re-cover the
+                        // store from the top instead of resuming a
+                        // random walk
+                        let sweep = shared.metrics.audit_sweeps.load(Ordering::Relaxed);
+                        audit_pass(
+                            &shared,
+                            AUDIT_SWEEP_SAMPLES,
+                            fingerprint::derive(AUDIT_SEED_BASE, sweep),
+                        );
+                    }
+                }
+            })
+            .expect("spawn store flusher")
+    });
+    // every ~1 s: anti-entropy — ask each peer for its key digests and
+    // stream it whatever it lacks; converged peers exchange only the
+    // digest list, never a record. A thread of its own, so a hung peer
+    // can stall only the sweep, never the flusher's fsyncs and audits
+    let sweeper = (!shared.cfg.peers.is_empty()).then(|| {
+        let shared = Arc::clone(&shared);
+        std::thread::Builder::new()
+            .name("dpc-anti-entropy".into())
+            .spawn(move || {
+                let mut ticks = 0u32;
+                while !shared.shutdown.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_millis(250));
+                    ticks += 1;
+                    if ticks.is_multiple_of(4) {
+                        anti_entropy_sweep(&shared);
+                    }
+                }
+            })
+            .expect("spawn anti-entropy sweeper")
+    });
     // the Prometheus exposition endpoint: a plain-HTTP listener off
     // the request path, polled nonblocking so shutdown never hangs
     // on a quiet socket
@@ -580,6 +608,7 @@ pub fn serve_with_registry<A: ToSocketAddrs>(
         inboxes,
         workers,
         flusher,
+        sweeper,
         metrics_thread,
         metrics_addr,
     })
@@ -1068,8 +1097,9 @@ fn process_certify_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
             });
             continue;
         }
-        // one canonical pass: the wire encoding sorts the edge list,
-        // and the cache key is the hash of the scheme-qualified bytes
+        // one canonical pass: the wire encoding walks the sorted
+        // adjacency, and the cache key is the hash of the
+        // scheme-qualified bytes
         let bytes = keyed_bytes(scheme_id, graph);
         let key = hash_bytes(&bytes);
         match shared.cache.lookup(key, &bytes) {
@@ -1507,6 +1537,19 @@ fn process_single_inner(shared: &Arc<Shared>, req: &Request) -> Vec<u8> {
     }
 }
 
+/// Bounds the anti-entropy sweep's dial to a peer.
+const PEER_DIAL_TIMEOUT: Duration = Duration::from_secs(3);
+
+/// Bounds each read and write of a sweep's exchange with a peer, so a
+/// peer that accepts but never answers costs one sweep this long, then
+/// counts as a replication error. A healthy peer answers StoreList only
+/// after reading its whole store, and that scan sets the bound: on 2
+/// cores it took 0.16 s idle over 4,096 records (51 MB), and at most
+/// 2.0 s over up to 9,500 records (118 MB) while two connections sent
+/// fresh 2,048- and 8,192-node proves (2.9 s with 32 queued). Shutdown
+/// cuts a waiting exchange rather than wait this out.
+const PEER_IO_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// One round of push-based anti-entropy: for every configured peer,
 /// fetch its store key digests and stream it the records this node
 /// holds that the peer lacks. Dedup happens on *both* sides — the
@@ -1516,7 +1559,12 @@ fn process_single_inner(shared: &Arc<Shared>, req: &Request) -> Vec<u8> {
 fn anti_entropy_sweep(shared: &Arc<Shared>) {
     shared.metrics.repl_sweeps.fetch_add(1, Ordering::Relaxed);
     for peer in &shared.cfg.peers {
-        match sweep_peer(shared, peer) {
+        if shared.shutdown.load(Ordering::Acquire) {
+            return;
+        }
+        let swept = sweep_peer(shared, peer);
+        shared.sweep_conn.lock().expect("sweep poisoned").take();
+        match swept {
             Ok(pushed) => {
                 if pushed > 0 {
                     shared
@@ -1538,7 +1586,14 @@ fn anti_entropy_sweep(shared: &Arc<Shared>) {
 /// the peer actually merged (its own duplicates excluded).
 fn sweep_peer(shared: &Arc<Shared>, peer: &str) -> Result<u64, WireError> {
     const SWEEP_BATCH: usize = 256;
-    let mut client = crate::client::Client::connect(peer)?;
+    let mut client =
+        crate::client::Client::connect_timeout(peer, PEER_DIAL_TIMEOUT, PEER_IO_TIMEOUT)?;
+    // published before the flag is read, so a shutdown either finds
+    // this connection to cut or is seen here
+    *shared.sweep_conn.lock().expect("sweep poisoned") = Some(client.try_clone_stream()?);
+    if shared.shutdown.load(Ordering::Acquire) {
+        return Ok(0);
+    }
     let theirs: std::collections::HashSet<u128> = client.store_list()?.into_iter().collect();
     let mut merged = 0u64;
     let mut batch: Vec<crate::store::StoreRecord> = Vec::new();

@@ -53,7 +53,8 @@ use crate::registry::SchemeId;
 use crate::store::{crc32, StoreRecord};
 use dpc_core::harness::Outcome;
 use dpc_core::scheme::Assignment;
-use dpc_graph::{canon, Graph, GraphBuilder};
+use dpc_graph::graph::default_id;
+use dpc_graph::{canon, Edge, Graph};
 use dpc_runtime::{get_bytes, get_uvarint, put_uvarint, DecodeError};
 use std::borrow::Borrow;
 use std::fmt;
@@ -144,7 +145,8 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, WireError> {
 // ---------------------------------------------------------------------------
 // Graphs.
 
-/// Appends the canonical wire encoding of a graph.
+/// Appends the canonical wire encoding of a graph: the edges in
+/// [`canon::iter_canonical_edges`] order, gap-coded.
 pub fn encode_graph(out: &mut Vec<u8>, g: &Graph) {
     put_uvarint(out, g.node_count() as u64);
     let custom = !g.has_default_ids();
@@ -154,23 +156,22 @@ pub fn encode_graph(out: &mut Vec<u8>, g: &Graph) {
             put_uvarint(out, id);
         }
     }
-    let edges = canon::canonical_edges(g);
-    put_uvarint(out, edges.len() as u64);
-    let (mut prev_u, mut prev_v) = (0u32, 0u32);
-    for (i, &(u, v)) in edges.iter().enumerate() {
-        let du = u - prev_u;
-        put_uvarint(out, du as u64);
-        if i == 0 || du > 0 {
-            put_uvarint(out, (v - u - 1) as u64);
-        } else {
-            put_uvarint(out, (v - prev_v - 1) as u64);
+    put_uvarint(out, g.edge_count() as u64);
+    let (mut prev_u, mut prev_v) = (0, 0);
+    for (u, v) in canon::iter_canonical_edges(g) {
+        // a u-run's first v is a gap from u, the others from the last v
+        if u != prev_u {
+            prev_v = u;
         }
-        prev_u = u;
-        prev_v = v;
+        put_uvarint(out, (u - prev_u) as u64);
+        put_uvarint(out, (v - prev_v - 1) as u64);
+        (prev_u, prev_v) = (u, v);
     }
 }
 
-/// Decodes a wire graph from the front of `buf`, advancing it.
+/// Decodes a wire graph from the front of `buf`, advancing it past
+/// the graph; the bytes after it are the next field's. This is the
+/// one-shot use of [`GraphStreamDecoder`] over a whole frame.
 ///
 /// Amplification guard: the node count must be roughly covered by the
 /// bytes actually present (any connected graph carries at least
@@ -180,76 +181,12 @@ pub fn encode_graph(out: &mut Vec<u8>, g: &Graph) {
 /// even looks at it. Only pathological near-edgeless graphs beyond a
 /// few hundred nodes are rejected by this bound.
 pub fn decode_graph(buf: &mut &[u8]) -> Result<Graph, WireError> {
-    let n = get_uvarint(buf)?;
-    if n > MAX_WIRE_NODES {
-        return Err(protocol(format!("graph with {n} nodes exceeds the limit")));
-    }
-    if n > 64 * buf.len() as u64 + 1 {
-        return Err(protocol(format!(
-            "{n} nodes is not supported by a {}-byte frame",
-            buf.len()
-        )));
-    }
-    let n = n as u32;
-    let custom_ids = match get_uvarint(buf)? {
-        0 => false,
-        1 => true,
-        x => return Err(protocol(format!("bad id flag {x}"))),
+    let mut dec = GraphStreamDecoder {
+        frame: true,
+        ..GraphStreamDecoder::new()
     };
-    let ids = if custom_ids {
-        if n as usize > buf.len() {
-            return Err(protocol("identifier list longer than the frame"));
-        }
-        let mut ids = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            ids.push(get_uvarint(buf)?);
-        }
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        if sorted.windows(2).any(|w| w[0] == w[1]) {
-            return Err(protocol("duplicate network identifiers"));
-        }
-        Some(ids)
-    } else {
-        None
-    };
-    let m = get_uvarint(buf)?;
-    let max_m = n as u64 * (n as u64).saturating_sub(1) / 2;
-    if m > max_m {
-        return Err(protocol(format!("{m} edges on {n} nodes is impossible")));
-    }
-    if m > buf.len() as u64 / 2 {
-        // each edge is two varints, at least two bytes
-        return Err(protocol("edge list longer than the frame"));
-    }
-    let mut b = GraphBuilder::new(n);
-    if let Some(ids) = ids {
-        b.with_ids(ids);
-    }
-    let (mut prev_u, mut prev_v) = (0u32, 0u32);
-    for i in 0..m {
-        let du = get_uvarint(buf)?;
-        let u = (prev_u as u64)
-            .checked_add(du)
-            .filter(|&u| u < n as u64)
-            .ok_or_else(|| protocol("edge endpoint out of range"))? as u32;
-        let dv = get_uvarint(buf)?;
-        let base = if i == 0 || du > 0 {
-            u as u64
-        } else {
-            prev_v as u64
-        };
-        let v = base
-            .checked_add(dv)
-            .and_then(|x| x.checked_add(1))
-            .filter(|&v| v < n as u64)
-            .ok_or_else(|| protocol("edge endpoint out of range"))? as u32;
-        b.add_edge(u, v)
-            .map_err(|e| protocol(format!("bad edge list: {e}")))?;
-        prev_u = u;
-        prev_v = v;
-    }
-    Ok(b.build())
+    dec.advance(buf)?;
+    dec.finish()
 }
 
 /// Reads one uvarint if its terminating byte is present, advancing
@@ -280,35 +217,40 @@ enum StreamStage {
     Done,
 }
 
-/// Incremental decoder for the canonical graph encoding of
-/// [`encode_graph`], fed one chunk at a time.
+/// The decoder of the canonical graph encoding of [`encode_graph`]:
+/// fed one chunk at a time here, or a whole frame by
+/// [`decode_graph`]. This is the only place the grammar is read.
 ///
 /// The decoder consumes every complete varint of each chunk as it
 /// arrives and carries at most one *partial* trailing varint (under
 /// ten bytes) to the next `feed` call, so its transient memory is
-/// O(chunk) and its resident state is the graph under construction
-/// itself — never the raw upload. [`GraphStreamDecoder::carry_len`]
-/// exposes the carried remnant so callers can meter the bound
-/// (`chunk_carry_peak` in the server stats).
+/// O(chunk) and its resident state is the decoded edge list itself —
+/// never the raw upload. [`GraphStreamDecoder::carry_len`] exposes the
+/// carried remnant so callers can meter the bound (`chunk_carry_peak`
+/// in the server stats).
 ///
-/// The grammar and validity checks match [`decode_graph`] exactly —
-/// same gap decoding, same endpoint bounds, same duplicate-id
-/// rejection — except that the node cap is [`MAX_STREAM_NODES`] and
-/// the frame-proportional amplification guards are replaced by the
-/// bytes the stream actually delivers. A decoded stream re-encodes
+/// The edge list is gap-coded, so it decodes sorted, loop-free and
+/// duplicate-free by construction, and the graph is built from it
+/// directly. A stream's node cap is [`MAX_STREAM_NODES`], it must end
+/// exactly at the last edge, and `finish` checks its node count against
+/// the bytes it took. A frame's is [`MAX_WIRE_NODES`], every count must
+/// also fit the bytes the frame holds, and the bytes after the last
+/// edge are left for the next field. A decoded stream re-encodes
 /// byte-identically to the single-frame form.
 pub struct GraphStreamDecoder {
     stage: StreamStage,
+    /// Whole-frame input ([`decode_graph`]): a missing byte is
+    /// truncation, not a chunk boundary, and the frame guards apply.
+    frame: bool,
     carry: Vec<u8>,
+    /// Bytes fed so far, which the node count must be covered by.
+    fed: u64,
     n: u32,
+    /// Empty unless the encoding lists identifiers.
     ids: Vec<u64>,
-    custom_ids: bool,
     m: u64,
-    edges_done: u64,
-    prev_u: u32,
-    prev_v: u32,
+    edges: Vec<Edge>,
     pending_du: Option<u64>,
-    builder: Option<GraphBuilder>,
 }
 
 impl Default for GraphStreamDecoder {
@@ -322,16 +264,14 @@ impl GraphStreamDecoder {
     pub fn new() -> Self {
         GraphStreamDecoder {
             stage: StreamStage::NodeCount,
+            frame: false,
             carry: Vec::new(),
+            fed: 0,
             n: 0,
             ids: Vec::new(),
-            custom_ids: false,
             m: 0,
-            edges_done: 0,
-            prev_u: 0,
-            prev_v: 0,
+            edges: Vec::new(),
             pending_du: None,
-            builder: None,
         }
     }
 
@@ -342,6 +282,7 @@ impl GraphStreamDecoder {
 
     /// Consumes one chunk of the encoding.
     pub fn feed(&mut self, chunk: &[u8]) -> Result<(), WireError> {
+        self.fed += chunk.len() as u64;
         let joined;
         let mut buf: &[u8] = if self.carry.is_empty() {
             chunk
@@ -356,14 +297,36 @@ impl GraphStreamDecoder {
         Ok(())
     }
 
+    /// The next uvarint, or `None` at a chunk boundary (never in a
+    /// frame, where running out of bytes is an error).
+    fn varint(&self, buf: &mut &[u8]) -> Result<Option<u64>, WireError> {
+        if self.frame {
+            Ok(Some(get_uvarint(buf)?))
+        } else {
+            try_uvarint(buf)
+        }
+    }
+
     fn advance(&mut self, buf: &mut &[u8]) -> Result<(), WireError> {
         loop {
             match self.stage {
                 StreamStage::NodeCount => {
-                    let Some(n) = try_uvarint(buf)? else {
+                    let Some(n) = self.varint(buf)? else {
                         return Ok(());
                     };
-                    if n > MAX_STREAM_NODES {
+                    if self.frame {
+                        if n > MAX_WIRE_NODES {
+                            return Err(protocol(format!(
+                                "graph with {n} nodes exceeds the limit"
+                            )));
+                        }
+                        if n > 64 * buf.len() as u64 + 1 {
+                            return Err(protocol(format!(
+                                "{n} nodes is not supported by a {}-byte frame",
+                                buf.len()
+                            )));
+                        }
+                    } else if n > MAX_STREAM_NODES {
                         return Err(protocol(format!(
                             "streamed graph with {n} nodes exceeds the limit"
                         )));
@@ -372,23 +335,24 @@ impl GraphStreamDecoder {
                     self.stage = StreamStage::IdFlag;
                 }
                 StreamStage::IdFlag => {
-                    let Some(flag) = try_uvarint(buf)? else {
+                    let Some(flag) = self.varint(buf)? else {
                         return Ok(());
                     };
-                    self.custom_ids = match flag {
-                        0 => false,
-                        1 => true,
+                    self.stage = match flag {
+                        0 => StreamStage::EdgeCount,
+                        1 => StreamStage::Ids,
                         x => return Err(protocol(format!("bad id flag {x}"))),
                     };
-                    self.stage = if self.custom_ids {
-                        StreamStage::Ids
-                    } else {
-                        StreamStage::EdgeCount
-                    };
+                    if flag == 1 && self.frame && self.n as usize > buf.len() {
+                        return Err(protocol("identifier list longer than the frame"));
+                    }
                 }
                 StreamStage::Ids => {
-                    while (self.ids.len() as u64) < self.n as u64 {
-                        let Some(id) = try_uvarint(buf)? else {
+                    // an id takes at least one byte
+                    self.ids
+                        .reserve((self.n as usize - self.ids.len()).min(buf.len()));
+                    while self.ids.len() < self.n as usize {
+                        let Some(id) = self.varint(buf)? else {
                             return Ok(());
                         };
                         self.ids.push(id);
@@ -401,70 +365,62 @@ impl GraphStreamDecoder {
                     self.stage = StreamStage::EdgeCount;
                 }
                 StreamStage::EdgeCount => {
-                    let Some(m) = try_uvarint(buf)? else {
+                    let Some(m) = self.varint(buf)? else {
                         return Ok(());
                     };
-                    let max_m = self.n as u64 * (self.n as u64).saturating_sub(1) / 2;
-                    if m > max_m {
-                        return Err(protocol(format!(
-                            "{m} edges on {} nodes is impossible",
-                            self.n
-                        )));
+                    let n = self.n as u64;
+                    if m > n * n.saturating_sub(1) / 2 {
+                        return Err(protocol(format!("{m} edges on {n} nodes is impossible")));
+                    }
+                    if self.frame && m > buf.len() as u64 / 2 {
+                        // each edge is two varints, at least two bytes
+                        return Err(protocol("edge list longer than the frame"));
                     }
                     self.m = m;
-                    let mut b = GraphBuilder::new(self.n);
-                    if self.custom_ids {
-                        b.with_ids(std::mem::take(&mut self.ids));
-                    }
-                    self.builder = Some(b);
                     self.stage = StreamStage::Edges;
                 }
                 StreamStage::Edges => {
-                    while self.edges_done < self.m {
+                    let n = self.n as u64;
+                    let left = self.m - self.edges.len() as u64;
+                    self.edges.reserve(left.min(buf.len() as u64 / 2) as usize);
+                    while (self.edges.len() as u64) < self.m {
                         let du = match self.pending_du.take() {
                             Some(du) => du,
                             None => {
-                                let Some(du) = try_uvarint(buf)? else {
+                                let Some(du) = self.varint(buf)? else {
                                     return Ok(());
                                 };
                                 du
                             }
                         };
-                        let Some(dv) = try_uvarint(buf)? else {
+                        let Some(dv) = self.varint(buf)? else {
                             // half an edge: remember du for the next chunk
                             self.pending_du = Some(du);
                             return Ok(());
                         };
-                        let n = self.n;
-                        let u = (self.prev_u as u64)
+                        let (prev_u, prev_v) = self.edges.last().map_or((0, 0), |e| (e.u, e.v));
+                        let u = (prev_u as u64)
                             .checked_add(du)
-                            .filter(|&u| u < n as u64)
-                            .ok_or_else(|| protocol("edge endpoint out of range"))?
-                            as u32;
-                        let base = if self.edges_done == 0 || du > 0 {
-                            u as u64
+                            .filter(|&u| u < n)
+                            .ok_or_else(|| protocol("edge endpoint out of range"))?;
+                        // a u-run's first v is a gap from u, the others
+                        // from the last v: sorted with no loop or repeat
+                        let base = if self.edges.is_empty() || du > 0 {
+                            u
                         } else {
-                            self.prev_v as u64
+                            prev_v as u64
                         };
                         let v = base
                             .checked_add(dv)
                             .and_then(|x| x.checked_add(1))
-                            .filter(|&v| v < n as u64)
-                            .ok_or_else(|| protocol("edge endpoint out of range"))?
-                            as u32;
-                        self.builder
-                            .as_mut()
-                            .expect("builder exists in Edges stage")
-                            .add_edge(u, v)
-                            .map_err(|e| protocol(format!("bad edge list: {e}")))?;
-                        self.prev_u = u;
-                        self.prev_v = v;
-                        self.edges_done += 1;
+                            .filter(|&v| v < n)
+                            .ok_or_else(|| protocol("edge endpoint out of range"))?;
+                        self.edges.push(Edge::new(u as u32, v as u32));
                     }
                     self.stage = StreamStage::Done;
                 }
                 StreamStage::Done => {
-                    if buf.is_empty() {
+                    if self.frame || buf.is_empty() {
                         return Ok(());
                     }
                     return Err(protocol(format!(
@@ -478,15 +434,24 @@ impl GraphStreamDecoder {
 
     /// Completes the decode; the stream must have delivered the whole
     /// grammar, down to the last edge.
-    pub fn finish(mut self) -> Result<Graph, WireError> {
+    pub fn finish(self) -> Result<Graph, WireError> {
         if self.stage != StreamStage::Done || !self.carry.is_empty() {
             return Err(protocol("truncated graph stream"));
         }
-        Ok(self
-            .builder
-            .take()
-            .expect("builder exists once the grammar completed")
-            .build())
+        // the frame's amplification guard over the whole stream, before
+        // a few bytes can build ids and offsets for millions of nodes
+        if !self.frame && self.n as u64 > 64 * self.fed + 1 {
+            return Err(protocol(format!(
+                "{} nodes is not supported by a {}-byte stream",
+                self.n, self.fed
+            )));
+        }
+        let ids = if self.ids.is_empty() {
+            (0..self.n as u64).map(default_id).collect()
+        } else {
+            self.ids
+        };
+        Ok(Graph::from_parts(self.n, self.edges, ids))
     }
 }
 
@@ -1536,7 +1501,7 @@ fn body_from_suffix(kind: ResponseKind, cached: bool, suffix: &[u8]) -> Vec<u8> 
 pub fn graphs_equal(a: &Graph, b: &Graph) -> bool {
     a.node_count() == b.node_count()
         && a.ids() == b.ids()
-        && canon::canonical_edges(a) == canon::canonical_edges(b)
+        && canon::iter_canonical_edges(a).eq(canon::iter_canonical_edges(b))
 }
 
 #[cfg(test)]

@@ -349,3 +349,47 @@ fn second_sweep_between_converged_peers_transfers_nothing() {
     }
     let _ = std::fs::remove_dir_all(&base);
 }
+
+#[test]
+fn a_hung_peer_stalls_neither_the_store_thread_nor_shutdown() {
+    // peers that complete the TCP handshake (the kernel's listen
+    // backlog does that) but never read or answer: stopped or wedged
+    // nodes. Two, so a shutdown must also stop the sweep going on to
+    // the next one.
+    let hung: Vec<_> = (0..2)
+        .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
+        .collect();
+    let base = scratch_dir("hung");
+    let cfg = ServeConfig {
+        store: Some(SegmentConfig::new(base.join("node"))),
+        peers: hung
+            .iter()
+            .map(|l| l.local_addr().unwrap().to_string())
+            .collect(),
+        audit: true,
+        ..ServeConfig::default()
+    };
+    let handle = serve("127.0.0.1:0", cfg).unwrap();
+
+    // the store thread (fsync, compaction, audit) keeps its ~0.5 s
+    // audit cadence while the sweep waits on the first peer
+    let s0 = handle.stats().audit_sweeps;
+    wait_for(
+        "audit sweeps past a hung peer",
+        Duration::from_secs(10),
+        || handle.stats().audit_sweeps >= s0 + 4,
+    );
+    assert!(handle.stats().repl_sweeps >= 1, "no sweep started");
+
+    // shutdown cuts the exchange and skips the second peer instead of
+    // waiting out the sweep's read timeout on each
+    let started = Instant::now();
+    handle.shutdown();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(3),
+        "shutdown took {took:?} behind two hung peers"
+    );
+    drop(hung);
+    let _ = std::fs::remove_dir_all(&base);
+}
